@@ -48,9 +48,32 @@ def test_bench_qgemm(benchmark):
     assert out.dtype == np.uint8
 
 
-def test_bench_max_pool(benchmark, conv_input):
-    out = benchmark(max_pool, conv_input, 2, 2)
-    assert out.shape == (1, 64, 28, 28)
+@pytest.mark.parametrize(
+    "shape, kernel, stride, padding",
+    [((1, 64, 112, 112), 3, 2, 1),    # googlenet pool1/3x3_s2
+     ((1, 256, 28, 28), 3, 1, 1),     # googlenet inception_3b/pool
+     ((1, 64, 56, 56), 2, 2, 0)],
+    ids=["3s2p1", "3s1p1", "2s2p0"])
+def test_bench_max_pool(benchmark, shape, kernel, stride, padding):
+    """Max pooling as the maximum over shifted strided views, checked
+    byte for byte against a reduction over the window view."""
+    from repro.kernels.pooling import _pool_windows
+    images = RNG.integers(0, 256, shape).astype(np.uint8)
+    out = benchmark(max_pool, images, kernel, stride, padding)
+    windows = _pool_windows(images, kernel, stride, padding, 0)
+    assert out.tobytes() == windows.max(axis=(-1, -2)).tobytes()
+
+
+def test_bench_requantize_prepared(benchmark):
+    """The int64 requantization epilogue of one 56x56x64 integer GEMM
+    step (i32 accumulators to uint8 codes)."""
+    from repro.quant import prepare_requantize, requantize_prepared
+    out_params = QuantParams.from_range(-8.0, 8.0)
+    mantissa, shift = prepare_requantize(0.02, 0.004, out_params)
+    acc = RNG.integers(-2 ** 20, 2 ** 20, (3136, 64)).astype(np.int32)
+    out = benchmark(requantize_prepared, acc, mantissa, shift,
+                    out_params)
+    assert out.dtype == np.uint8 and out.shape == acc.shape
 
 
 def test_bench_conv1x1_direct(benchmark, conv_input):
@@ -93,14 +116,6 @@ def test_bench_depthwise_matvec(benchmark):
     assert np.allclose(out, reference, rtol=1e-5, atol=1e-6)
 
 
-def test_bench_max_pool_shifted(benchmark, conv_input):
-    """The shifted-view max pool vs the window-view reference; max is
-    order-independent, so the outputs are byte-identical."""
-    from repro.kernels import max_pool_shifted
-    out = benchmark(max_pool_shifted, conv_input, 2, 2)
-    assert out.tobytes() == max_pool(conv_input, 2, 2).tobytes()
-
-
 def test_bench_winograd_conv3x3(benchmark, conv_input):
     """The F(2,3) Winograd conv the autotuner offers under
     --allow-approx (tolerance-checked, never byte-checked)."""
@@ -128,12 +143,12 @@ def test_bench_mulayer_planning(benchmark):
 
 def test_bench_simulated_execution(benchmark):
     """Wall-clock cost of one timed (non-functional) GoogLeNet
-    inference through the whole simulator."""
+    inference through the whole simulator.  Each round uses a fresh
+    executor, so the executor's timing memo never replays it."""
     from repro.models import build_model
-    from repro.runtime import MuLayer
+    from repro.runtime import Executor, MuLayer
     from repro.soc import EXYNOS_7420
     graph = build_model("googlenet", with_weights=False)
-    runtime = MuLayer(EXYNOS_7420, use_oracle_costs=True)
-    runtime.run(graph)   # warm the plan cache
-    result = benchmark(runtime.run, graph)
+    plan = MuLayer(EXYNOS_7420, use_oracle_costs=True).plan(graph)
+    result = benchmark(lambda: Executor(EXYNOS_7420).run(graph, plan))
     assert result.latency_s > 0

@@ -610,8 +610,6 @@ def verify_tuned_variants(graph: Graph, plan: ExecutionPlan,
     * ``folded`` only on conv/FC steps at batch > 1 (at batch 1 the
       reference is already a single GEMM call);
     * ``matvec`` only on depthwise convs;
-    * ``pool_shifted`` only on unpadded max pooling (the shifted
-      strided views cannot express border padding);
     * ``winograd`` only on 3x3/stride-1 convs under float storage, and
       only in a program compiled with ``allow_approx`` (it is the one
       variant exempt from byte identity);
@@ -664,12 +662,6 @@ def verify_tuned_variants(graph: Graph, plan: ExecutionPlan,
             if step.kind != "depthwise_conv":
                 bad(locus, f"matvec on a {step.kind!r} step; it "
                     "lowers the depthwise per-channel contraction")
-        elif variant == "pool_shifted":
-            if step.kind != "max_pool":
-                bad(locus, f"pool_shifted on a {step.kind!r} step")
-            elif padding != 0:
-                bad(locus, f"pool_shifted with padding={padding}; "
-                    "shifted strided views cannot express padding")
         elif variant == "winograd":
             if step.kind != "conv":
                 bad(locus, f"winograd on a {step.kind!r} step")

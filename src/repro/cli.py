@@ -480,6 +480,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                           tuner=tuner)
         if args.compiled:
             result, compiled_info = _run_compiled(runtime, graph)
+            compiled_info["plan_cache"] = runtime.plan_cache.stats()
+            compiled_info["executor"] = runtime.executor.stats()
             if tuner is not None:
                 tuner.flush()
         else:
@@ -537,6 +539,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
                  if compiled_info.get("allow_approx")
                  else "byte-identical to")
         print(f"  {check} the interpreter: {identical}")
+        plans = compiled_info["plan_cache"]
+        timings = compiled_info["executor"]
+        print(f"  plan cache {plans['hits']:.0f} hits / "
+              f"{plans['misses']:.0f} misses, timing memo "
+              f"{timings['timing_hits']:.0f} hits / "
+              f"{timings['timing_misses']:.0f} misses")
     if args.gantt:
         from .harness import render_gantt
         print("\n" + render_gantt(result.timeline, width=100))
@@ -827,6 +835,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                        None),
         }
         payload["plan_cache"] = fleet.plan_cache.stats()
+        payload["executor"] = {
+            soc_name: fleet.context(soc_name).executor.stats()
+            for soc_name in sorted(set(soc_names))}
         if tuner is not None:
             payload["tune_cache"] = tuner.cache.stats()
         print(json.dumps(payload, indent=2))

@@ -59,8 +59,7 @@ from ..kernels import (conv_output_hw, flatten_filters, im2col,
                        max_pool, qgemm_fused)
 from ..kernels.qgemm import (EXACT_GEMM_MAX_DEPTH, fused_const_row,
                              quantize_bias)
-from ..kernels.variants import (depthwise_matvec, max_pool_shifted,
-                                winograd_conv3x3,
+from ..kernels.variants import (depthwise_matvec, winograd_conv3x3,
                                 winograd_filter_transform)
 from ..nn import Graph, LayerKind
 from ..nn.layers import Conv2D, DepthwiseConv2D, FullyConnected, Input
@@ -1053,39 +1052,6 @@ class _Lowering:
 
     # -- placement-invariant layers -------------------------------------------
 
-    def lower_invariant_step(self, name: str
-                             ) -> Tuple[StepFn,
-                                        Optional[StepParallelSpec], str]:
-        """Invariant lowering plus its tunable alternatives.
-
-        Max pooling without padding admits the shifted-strided-view
-        kernel (:func:`~repro.kernels.variants.max_pool_shifted`):
-        ``max`` is exact and order-independent, so it is byte-identical
-        to the im2col-style reference on every dtype.
-        """
-        fn = self.lower_invariant(name)
-        layer = self.graph.layer(name)
-        candidates: List[_StepCandidate] = [("reference", fn, None)]
-        if (self.tuner is not None
-                and layer.kind is LayerKind.MAX_POOL
-                and layer.padding == 0):
-            kernel, stride = layer.kernel, layer.stride
-            storage_np = self.storage.numpy_dtype
-            quantized = self.storage is DType.QUINT8
-
-            def shifted(inputs: List[np.ndarray]) -> np.ndarray:
-                (x,) = inputs
-                if quantized:
-                    return max_pool_shifted(x, kernel, stride)
-                out = max_pool_shifted(x.astype(np.float32), kernel,
-                                       stride)
-                if out.dtype == storage_np:
-                    return out
-                return out.astype(storage_np)
-
-            candidates.append(("pool_shifted", shifted, None))
-        return self._choose(name, candidates)
-
     def lower_invariant(self, name: str) -> StepFn:
         layer = self.graph.layer(name)
         producers = tuple(self.graph.inputs_of(name))
@@ -1210,7 +1176,8 @@ class _Lowering:
             elif layer.kind is LayerKind.DEPTHWISE_CONV:
                 fn, spec, variant = self.lower_depthwise(name)
             else:
-                fn, spec, variant = self.lower_invariant_step(name)
+                fn, spec, variant = (self.lower_invariant(name), None,
+                                     "reference")
             steps.append(CompiledStep(
                 layer=name, kind=layer.kind.value,
                 placements=self.placement_parts(name),

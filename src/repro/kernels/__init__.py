@@ -7,8 +7,7 @@ from .pooling import avg_pool, global_avg_pool, max_pool
 from .qgemm import (fused_const_row, qgemm, qgemm_accumulate, qgemm_fused,
                     quantize_bias)
 from .variants import (conv1x1_direct_f32, depthwise_matvec,
-                       max_pool_shifted, winograd_conv3x3,
-                       winograd_filter_transform)
+                       winograd_conv3x3, winograd_filter_transform)
 
 __all__ = [
     "gemm_f16",
@@ -28,7 +27,6 @@ __all__ = [
     "quantize_bias",
     "conv1x1_direct_f32",
     "depthwise_matvec",
-    "max_pool_shifted",
     "winograd_conv3x3",
     "winograd_filter_transform",
 ]

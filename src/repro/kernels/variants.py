@@ -6,11 +6,6 @@ times the legal alternatives below per step and bakes the winner into
 the program.  Every function here is a complete drop-in computation
 for one step family:
 
-* :func:`max_pool_shifted` -- max pooling as an elementwise maximum of
-  ``k*k`` shifted strided views, skipping the window-view reduction.
-  Max is order-independent and exact, so for ``padding == 0`` this is
-  byte-identical to :func:`~repro.kernels.pooling.max_pool` for any
-  dtype.
 * :func:`depthwise_matvec` -- the depthwise per-channel contraction as
   one batched mat-vec instead of an einsum.  Identical on the integer
   pipelines (both accumulate exactly); float pipelines are subject to
@@ -33,31 +28,6 @@ import numpy as np
 
 from ..errors import ShapeError
 from .im2col import conv_output_hw
-
-
-def max_pool_shifted(images: np.ndarray, kernel: int,
-                     stride: int) -> np.ndarray:
-    """Max pooling via an elementwise maximum of shifted views.
-
-    Requires ``padding == 0`` (the caller guarantees it); the reference
-    :func:`~repro.kernels.pooling.max_pool` pads with the dtype's
-    minimum, which the shifted formulation cannot reproduce without a
-    copy.  Output dtype equals the input dtype.
-    """
-    height, width = images.shape[2], images.shape[3]
-    out_h, out_w = conv_output_hw(height, width, kernel, stride, 0)
-    result: Optional[np.ndarray] = None
-    for i in range(kernel):
-        for j in range(kernel):
-            view = images[:, :,
-                          i:i + stride * (out_h - 1) + 1:stride,
-                          j:j + stride * (out_w - 1) + 1:stride]
-            if result is None:
-                result = view.copy()
-            else:
-                np.maximum(result, view, out=result)
-    assert result is not None
-    return result
 
 
 def depthwise_matvec(columns: np.ndarray,

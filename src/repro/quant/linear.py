@@ -21,6 +21,9 @@ from ..errors import QuantizationError
 from ..tensor import DType, QuantParams, Tensor
 from ..tensor.qparams import QMAX, QMIN
 
+_INT32_MIN = -(1 << 31)
+_INT32_MAX = (1 << 31) - 1
+
 
 def quantize(values: np.ndarray, qparams: QuantParams) -> np.ndarray:
     """Quantize real values to uint8 codes under ``qparams``."""
@@ -81,33 +84,6 @@ def quantized_multiplier(real_multiplier: float) -> Tuple[int, int]:
     return q, shift
 
 
-def _saturating_rounding_doubling_high_mul(a: np.ndarray,
-                                           multiplier: int) -> np.ndarray:
-    """gemmlowp's SaturatingRoundingDoublingHighMul on int32 arrays."""
-    product = a.astype(np.int64) * np.int64(multiplier)
-    nudge = np.where(product >= 0, np.int64(1 << 30), np.int64(1 - (1 << 30)))
-    result = (product + nudge) >> 31
-    return np.clip(result, -(1 << 31), (1 << 31) - 1).astype(np.int32)
-
-
-def _rounding_divide_by_pot(value: np.ndarray, exponent: int) -> np.ndarray:
-    """Rounding arithmetic right shift by ``exponent`` (power of two).
-
-    A negative exponent performs a saturating left shift instead,
-    matching TFLite's handling of multipliers >= 1.
-    """
-    if exponent == 0:
-        return value
-    if exponent < 0:
-        shifted = value.astype(np.int64) << (-exponent)
-        return np.clip(shifted, -(1 << 31),
-                       (1 << 31) - 1).astype(np.int32)
-    mask = np.int32((1 << exponent) - 1)
-    remainder = value & mask
-    threshold = (mask >> 1) + np.where(value < 0, 1, 0).astype(np.int32)
-    return (value >> exponent) + (remainder > threshold).astype(np.int32)
-
-
 def prepare_requantize(input_scale: float, weight_scale: float,
                        output: QuantParams) -> Tuple[int, int]:
     """Pre-decompose the requantization multiplier of one layer.
@@ -129,18 +105,50 @@ def requantize_prepared(acc: np.ndarray, mantissa: int, shift: int,
 
     Byte-identical to :func:`requantize` called with the scales the
     (mantissa, shift) pair was prepared from.
+
+    The gemmlowp pipeline -- a rounding doubling high multiply
+    (``floor((acc * mantissa + nudge) / 2**31)``, nudge ``2**30`` or
+    ``1 - 2**30`` by sign) followed by a rounding right shift (half
+    away from zero) -- runs as one in-place int64 pass.  Nested floor
+    divisions by powers of two compose, and the high multiply keeps
+    the accumulator's sign, so both roundings fold into a single
+    nudge and one arithmetic shift by ``31 + shift``.  The mantissa
+    lies in [2**30, 2**31), so the product fits in int64 and the high
+    multiply never saturates.  Right shifts of 32 or more leave at
+    most half a unit, which rounds to 0 (or to -1 for an INT32_MIN
+    high product at shift 32, the one exact half).  The zero point is
+    added in int64 too, so a high product within ``zero_point`` of
+    INT32_MAX saturates to 255 rather than wrapping.
     """
     acc = np.asarray(acc, dtype=np.int32)
     if shift < 0:
         # Multiplier >= 1: apply the saturating left shift *before*
         # the rounding high-mul (TFLite's MultiplyByQuantizedMultiplier
         # order), otherwise small accumulators lose all precision.
-        acc = _rounding_divide_by_pot(acc, shift)
+        wide = acc.astype(np.int64)
+        wide <<= -shift
+        np.clip(wide, _INT32_MIN, _INT32_MAX, out=wide)
+        wide *= mantissa
         shift = 0
-    scaled = _saturating_rounding_doubling_high_mul(acc, mantissa)
-    scaled = _rounding_divide_by_pot(scaled, shift)
-    shifted = scaled + np.int32(output.zero_point)
-    return np.clip(shifted, QMIN, QMAX).astype(np.uint8)
+    elif shift > 32:
+        # |high product| <= 2**31 is at most a quarter unit here.
+        return np.full(acc.shape, np.clip(output.zero_point, QMIN, QMAX),
+                       dtype=np.uint8)
+    else:
+        wide = np.multiply(acc, np.int64(mantissa), dtype=np.int64)
+    if shift == 0:
+        nudge, negative_offset = 1 << 30, (1 << 31) - 1
+    else:
+        nudge = (1 << 30) + (1 << (30 + shift))
+        negative_offset = (1 << 32) - 1
+    negative = wide < 0
+    wide += nudge
+    # A boolean-times-scalar product beats np.subtract(where=) by ~10x.
+    wide -= negative * np.int64(negative_offset)
+    wide >>= 31 + shift
+    wide += output.zero_point
+    np.clip(wide, QMIN, QMAX, out=wide)
+    return wide.astype(np.uint8)
 
 
 def requantize(acc: np.ndarray, input_scale: float, weight_scale: float,

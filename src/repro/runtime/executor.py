@@ -30,11 +30,29 @@ results through its blocking heuristics).
 interpretation for a :class:`~repro.compile.program.CompiledProgram`
 -- plans are lowered once (memoized alongside the LayerComputer memo)
 into flat fused-kernel schedules whose outputs are byte-identical to
-the interpreted path; the timing side is unchanged.
+the interpreted path.
+
+The simulated timeline is a pure function of (graph, plan, batch): the
+SoC and the zero-copy/async switches are fixed per executor, and the
+graph's weights never enter the timing model.  Compiled and
+timing-only runs therefore simulate each (graph, plan, batch) once and
+replay the outcome from a bounded LRU memo, keyed by object identity
+and identity-checked on every hit like :meth:`Executor.program_for`.
+This relies on plans being immutable once built, which the plan cache
+and program identity already assume.  A memo hit still runs every
+per-call check (plan validation, batch resolution, program staleness,
+the ``verify=True`` analyzers) and returns a fresh shallow copy with
+its own mechanism label, outputs and diagnostics; the timeline and
+traces are shared with the memo entry and are read-only.  The
+interpreted path (input data given, not compiled) re-simulates every
+run, because it is the byte-identity oracle.  The serving fleet keeps
+its own replay memo on top (``Fleet._run_memoized``): it also skips
+the plan validation a memo hit here still pays on every dispatch.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections import OrderedDict
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -99,6 +117,11 @@ class Executor:
     #: executor keeps warm; oldest is dropped beyond that.
     _COMPUTER_MEMO_ENTRIES = 8
 
+    #: How many (graph, plan, batch) timing outcomes an executor
+    #: keeps; sized above the 15 (model, batch) pairs of five models
+    #: served at three batch sizes, which an 8-entry LRU would thrash.
+    _TIMING_MEMO_ENTRIES = 64
+
     def __init__(self, soc: SoCSpec, zero_copy: bool = True,
                  async_issue: bool = True, verify: bool = False,
                  op_caches: bool = True,
@@ -120,6 +143,14 @@ class Executor:
         # (and re-validated against weight-array identity on reuse).
         self._programs: ("OrderedDict[Tuple[int, int, int, int], "
                          "object]") = OrderedDict()
+        # Timing-only outcomes: (graph, plan, result) per
+        # (id(graph), id(plan), batch), identity-checked on reuse.
+        self._timings: ("OrderedDict[Tuple[int, int, int], Tuple["
+                        "Graph, ExecutionPlan, InferenceResult]]"
+                        ) = OrderedDict()
+        self.timing_hits = 0
+        self.timing_misses = 0
+        self.timing_evictions = 0
 
     def _run_program(self, program, x: np.ndarray) -> Dict[str, Tensor]:
         """Execute a compiled program, serial or worker-pooled.
@@ -193,6 +224,42 @@ class Executor:
             self._programs.popitem(last=False)
         return program
 
+    def _simulated(self, graph: Graph, plan: ExecutionPlan, batch: int,
+                   mechanism: str) -> InferenceResult:
+        """The timing-only outcome of (graph, plan, batch), simulated
+        once and replayed as a fresh shallow copy labelled
+        ``mechanism`` (see the module docstring)."""
+        key = (id(graph), id(plan), batch)
+        entry = self._timings.get(key)
+        # Identity check via the stored references guards against id()
+        # recycling of dead objects.
+        if entry is None or entry[0] is not graph or entry[1] is not plan:
+            self.timing_misses += 1
+            run_state = _RunState(self, graph, plan, None, None, batch)
+            run_state.execute()
+            entry = (graph, plan, run_state.result(mechanism))
+            self._timings[key] = entry
+        else:
+            self.timing_hits += 1
+        self._timings.move_to_end(key)
+        while len(self._timings) > self._TIMING_MEMO_ENTRIES:
+            self._timings.popitem(last=False)
+            self.timing_evictions += 1
+        return dataclasses.replace(entry[2], mechanism=mechanism)
+
+    def stats(self) -> Dict[str, float]:
+        """Timing-memo counters as a JSON-friendly dict (shaped like
+        :meth:`~repro.runtime.plan_cache.PlanCache.stats`)."""
+        lookups = self.timing_hits + self.timing_misses
+        return {
+            "timing_entries": float(len(self._timings)),
+            "timing_hits": float(self.timing_hits),
+            "timing_misses": float(self.timing_misses),
+            "timing_hit_rate": (self.timing_hits / lookups
+                                if lookups else 0.0),
+            "timing_evictions": float(self.timing_evictions),
+        }
+
     def run(self, graph: Graph, plan: ExecutionPlan,
             x: Optional[np.ndarray] = None,
             calibration: Optional[CalibrationTable] = None,
@@ -217,7 +284,8 @@ class Executor:
             compiled: compute the functional outputs through the
                 compiled fused program instead of the per-layer
                 interpreter (byte-identical results; timing is
-                unaffected).  Ignored for timing-only runs.
+                unaffected, and replayed from the timing memo).
+                Ignored for timing-only runs.
             program: a pre-compiled
                 :class:`~repro.compile.program.CompiledProgram` to run
                 (implies ``compiled=True``); must match the graph,
@@ -255,14 +323,15 @@ class Executor:
                 report.raise_if_errors(
                     f"compiled program for {graph.name!r} on "
                     f"{self.soc.name}")
-        # Compiled runs drive the timing model without the per-layer
-        # interpreter (x withheld from the run state), then attach the
-        # program's outputs to the result.
-        run_state = _RunState(self, graph, plan,
-                              None if compiled else x, calibration,
-                              batch)
-        run_state.execute()
-        result = run_state.result(mechanism)
+        # Compiled and timing-only runs replay the memoized timing
+        # outcome; compiled runs then attach the program's outputs.
+        if compiled or x is None:
+            result = self._simulated(graph, plan, batch, mechanism)
+        else:
+            run_state = _RunState(self, graph, plan, x, calibration,
+                                  batch)
+            run_state.execute()
+            result = run_state.result(mechanism)
         if compiled:
             result.outputs = self._run_program(program, x)
         if report is not None:

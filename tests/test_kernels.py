@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ShapeError
 from repro.kernels import (avg_pool, conv_output_hw, flatten_filters,
@@ -9,6 +11,22 @@ from repro.kernels import (avg_pool, conv_output_hw, flatten_filters,
                            max_pool, qgemm, qgemm_accumulate,
                            quantize_bias)
 from repro.tensor import QuantParams
+
+
+def naive_max_pool(x, kernel, stride, padding):
+    """Per-window reference max pool over the unpadded cells only, so
+    a padded position can never be the maximum."""
+    batch, channels, in_h, in_w = x.shape
+    out_h, out_w = conv_output_hw(in_h, in_w, kernel, stride, padding)
+    out = np.empty((batch, channels, out_h, out_w), dtype=x.dtype)
+    for i in range(out_h):
+        top = i * stride - padding
+        for j in range(out_w):
+            left = j * stride - padding
+            window = x[:, :, max(top, 0):top + kernel,
+                       max(left, 0):left + kernel]
+            out[:, :, i, j] = window.max(axis=(2, 3))
+    return out
 
 
 def naive_conv(x, weights, bias, stride, padding):
@@ -222,3 +240,66 @@ class TestPooling:
     def test_pool_rejects_non_nchw(self):
         with pytest.raises(ShapeError):
             max_pool(np.zeros((4, 4)), 2, 2)
+
+
+@st.composite
+def max_pool_cases(draw):
+    """(input, kernel, stride, padding) with padding 0..kernel-1,
+    strides up to past the kernel and maps down to 1x1."""
+    kernel = draw(st.integers(1, 4))
+    stride = draw(st.integers(1, kernel + 2))
+    padding = draw(st.integers(0, kernel - 1))
+    low = max(1, kernel - 2 * padding)
+    height = draw(st.integers(low, low + 9))
+    width = draw(st.integers(low, low + 9))
+    batch = draw(st.integers(1, 4))
+    channels = draw(st.integers(1, 3))
+    dtype = draw(st.sampled_from([np.uint8, np.float16, np.float32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (batch, channels, height, width)
+    if dtype is np.uint8:
+        x = rng.integers(0, 256, shape).astype(np.uint8)
+    else:
+        # Quarter steps give ties; adding 0.0 turns -0.0 into +0.0,
+        # whose sign a max over ties would otherwise pick arbitrarily.
+        x = (np.round(rng.standard_normal(shape) * 4) / 4 + 0.0
+             ).astype(dtype)
+    return x, kernel, stride, padding
+
+
+class TestMaxPoolIdentity:
+    """The shifted-view max pool against a per-window loop."""
+
+    @given(max_pool_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_byte_identical_to_window_loop(self, case):
+        x, kernel, stride, padding = case
+        got = max_pool(x, kernel, stride, padding)
+        want = naive_max_pool(x, kernel, stride, padding)
+        assert got.dtype == x.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float16,
+                                       np.float32])
+    def test_padding_never_wins(self, dtype):
+        # Every real cell sits at the dtype's floor (the uint8 pad
+        # value itself) or far below zero.
+        low = 0 if dtype is np.uint8 else -60000.0
+        x = np.full((2, 3, 3, 4), low, dtype=dtype)
+        for kernel, padding in ((2, 1), (3, 1), (3, 2), (4, 3)):
+            out = max_pool(x, kernel, 1, padding)
+            assert np.all(out == low) and out.dtype == x.dtype
+
+    def test_one_by_one_map(self):
+        x = np.array([[[[7]], [[3]]]], dtype=np.uint8)
+        for kernel, padding in ((1, 0), (2, 1), (3, 1), (3, 2)):
+            out = max_pool(x, kernel, 2, padding)
+            assert out.tobytes() == naive_max_pool(
+                x, kernel, 2, padding).tobytes()
+
+    def test_input_not_modified(self, rng):
+        x = rng.standard_normal((1, 2, 6, 6)).astype(np.float32)
+        before = x.copy()
+        max_pool(x, 3, 2, 1)
+        max_pool(x, 2, 2, 0)
+        np.testing.assert_array_equal(x, before)

@@ -195,3 +195,160 @@ class TestFunctionalExecution:
         assert result.trace_of("conv1_1").layer == "conv1_1"
         with pytest.raises(KeyError):
             result.trace_of("ghost")
+
+
+class TestTimingMemo:
+    """Compiled and timing-only runs simulate each (graph, plan, batch)
+    once; every later run replays the outcome."""
+
+    @pytest.fixture
+    def weighted(self, rng):
+        """A private vgg_mini (tests install new weights on it), its
+        calibration, a GPU plan and one input."""
+        from repro.models import build_model
+        from repro.nn import calibrate_graph
+        graph = build_model("vgg_mini")
+        x = rng.standard_normal((1, 3, 32, 32)).astype(np.float32)
+        calibration = calibrate_graph(graph, [x])
+        return graph, calibration, gpu_plan(graph, PROCESSOR_FRIENDLY), x
+
+    @staticmethod
+    def timing_of(result):
+        return (result.latency_s, result.energy, result.traces,
+                result.traffic_bytes, result.batch,
+                [result.timeline.segments(r) for r in (CPU, GPU)])
+
+    def test_compiled_runs_replay_timing(self, weighted, highend):
+        graph, calibration, plan, x = weighted
+        executor = Executor(highend)
+        first = executor.run(graph, plan, x=x, calibration=calibration,
+                             compiled=True, mechanism="a")
+        second = executor.run(graph, plan, x=x, calibration=calibration,
+                              compiled=True, mechanism="b")
+        assert self.timing_of(first) == self.timing_of(second)
+        assert first is not second
+        assert (first.mechanism, second.mechanism) == ("a", "b")
+        assert first.outputs is not second.outputs
+        for name in first.outputs:
+            assert first.outputs[name].data.tobytes() == \
+                second.outputs[name].data.tobytes()
+        assert (executor.timing_misses, executor.timing_hits) == (1, 1)
+
+    def test_set_weights_recompiles_but_reuses_timing(self, weighted,
+                                                      highend):
+        graph, calibration, plan, x = weighted
+        executor = Executor(highend)
+        before = executor.run(graph, plan, x=x, calibration=calibration,
+                              compiled=True)
+        program = executor.program_for(graph, plan, calibration, 1)
+        for name in graph.compute_layers():
+            layer = graph.layer(name)
+            if getattr(layer, "weights", None) is not None:
+                layer.set_weights(layer.weights * np.float32(1.5),
+                                  layer.bias)
+        after = executor.run(graph, plan, x=x, calibration=calibration,
+                             compiled=True)
+        assert executor.program_for(graph, plan, calibration,
+                                    1) is not program
+        assert (executor.timing_misses, executor.timing_hits) == (1, 1)
+        assert self.timing_of(before) == self.timing_of(after)
+        reference = Executor(highend, op_caches=False).run(
+            graph, plan, x=x, calibration=calibration)
+        for name in reference.outputs:
+            assert after.outputs[name].data.tobytes() == \
+                reference.outputs[name].data.tobytes()
+
+    def test_new_plan_or_batch_resimulates(self, vgg_mini, highend):
+        executor = Executor(highend)
+        plan = cpu_plan(vgg_mini)
+        executor.run(vgg_mini, plan)
+        executor.run(vgg_mini, plan)
+        assert (executor.timing_misses, executor.timing_hits) == (1, 1)
+        equal_plan = cpu_plan(vgg_mini)
+        executor.run(vgg_mini, equal_plan)
+        assert executor.timing_misses == 2
+        batched = executor.run(vgg_mini, plan, batch=2)
+        assert executor.timing_misses == 3 and batched.batch == 2
+        assert executor.stats()["timing_entries"] == 3.0
+
+    def test_recycled_ids_miss(self, vgg_mini, highend):
+        # A dead plan's id() can be reused by a new plan; the entry's
+        # stored references must reject it.  Simulated by re-filing
+        # the CPU plan's entry under the GPU plan's key.
+        executor = Executor(highend)
+        cpu, gpu = cpu_plan(vgg_mini), gpu_plan(vgg_mini)
+        executor.run(vgg_mini, cpu)
+        executor._timings[(id(vgg_mini), id(gpu), 1)] = \
+            executor._timings.pop((id(vgg_mini), id(cpu), 1))
+        result = executor.run(vgg_mini, gpu)
+        assert executor.timing_misses == 2
+        assert result.latency_s == Executor(highend).run(
+            vgg_mini, gpu).latency_s
+
+    def test_interpreted_runs_bypass_the_memo(self, squeezenet_mini,
+                                              single_input, highend):
+        executor = Executor(highend)
+        plan = cpu_plan(squeezenet_mini)
+        executor.run(squeezenet_mini, plan, x=single_input)
+        executor.run(squeezenet_mini, plan, x=single_input)
+        assert executor.stats()["timing_entries"] == 0.0
+
+    def test_verify_diagnostics_stay_off_the_memo(self, weighted,
+                                                  highend):
+        graph, calibration, plan, x = weighted
+        executor = Executor(highend, verify=True)
+        first = executor.run(graph, plan, x=x, calibration=calibration,
+                             compiled=True)
+        second = executor.run(graph, plan, x=x, calibration=calibration,
+                              compiled=True)
+        assert first.diagnostics is not None
+        assert second.diagnostics is not None
+        assert first.diagnostics is not second.diagnostics
+        (entry,) = executor._timings.values()
+        assert entry[2].diagnostics is None
+        assert entry[2].outputs is None
+        assert executor.timing_hits == 1
+
+    def test_memo_hit_equals_uncached_simulation(self, soc):
+        from repro.models import build_model
+        from repro.runtime import MuLayer
+        from repro.runtime.executor import _RunState
+        graph = build_model("googlenet_mini", with_weights=False)
+        plan = MuLayer(soc, use_oracle_costs=True).plan(graph)
+        executor = Executor(soc)
+        executor.run(graph, plan, mechanism="mulayer")
+        hit = executor.run(graph, plan, mechanism="mulayer")
+        assert executor.timing_hits == 1
+        state = _RunState(Executor(soc), graph, plan, None, None, 1)
+        state.execute()
+        fresh = state.result("mulayer")
+        assert hit.to_dict() == fresh.to_dict()
+        assert self.timing_of(hit) == self.timing_of(fresh)
+
+    def test_fifteen_keys_stay_resident(self, highend):
+        from repro.models import MINI_MODELS, build_model
+        graphs = [build_model(name, with_weights=False)
+                  for name in MINI_MODELS[:5]]
+        plans = [cpu_plan(graph) for graph in graphs]
+        executor = Executor(highend)
+        for _ in range(3):
+            for graph, plan in zip(graphs, plans):
+                for batch in (1, 2, 4):
+                    executor.run(graph, plan, batch=batch)
+        stats = executor.stats()
+        assert stats["timing_entries"] == 15.0
+        assert stats["timing_misses"] == 15.0
+        assert stats["timing_hits"] == 30.0
+        assert stats["timing_evictions"] == 0.0
+        assert stats["timing_hit_rate"] == pytest.approx(2 / 3)
+
+    def test_lru_evicts_beyond_capacity(self, vgg_mini, highend):
+        executor = Executor(highend)
+        executor._TIMING_MEMO_ENTRIES = 2
+        plan = cpu_plan(vgg_mini)
+        for batch in (1, 2, 3, 1):
+            executor.run(vgg_mini, plan, batch=batch)
+        stats = executor.stats()
+        assert stats["timing_entries"] == 2.0
+        assert stats["timing_evictions"] == 2.0
+        assert stats["timing_misses"] == 4.0

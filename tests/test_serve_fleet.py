@@ -214,7 +214,9 @@ class TestWarmPlans:
         tuner = Tuner(repeats=1)
         mixed = Fleet.build(("exynos7420", "exynos7880"), 2,
                             compiled=True, tuner=tuner)
-        mixed.warm_plans(("vgg_mini",), mechanisms=("mulayer",),
+        # squeezenet_mini's 1x1 convs have tunable lowerings at
+        # batch 1 (vgg_mini has none).
+        mixed.warm_plans(("squeezenet_mini",), mechanisms=("mulayer",),
                          programs=True)
         assert mixed.plan_cache.program_count() == 2
         # Both SoC types compiled the same model at the same batch;
