@@ -29,17 +29,6 @@ against a freshly generated run and exits non-zero when:
   speedup and the tuned total time are ratio-gated against the
   baseline run.  Runs without the block (``--no-autotune``) skip
   these gates with a notice.
-* when the fresh run carries a ``parallel`` block (the thread-parallel
-  compiled path; byte-identity across worker counts is asserted inside
-  the benchmark itself): on a multi-core runner, the aggregate
-  top-worker-count speedup over the serial loop must exceed 1.0 --
-  the worker pool has to actually pay for itself.  On a single-CPU
-  runner no wall-clock speedup is physically possible, so the absolute
-  gate is skipped with a notice.  When the baseline's block was
-  recorded on a runner with the same CPU count, the speedup is
-  additionally ratio-gated against the baseline like every other
-  metric.  Runs without the block (``--workers 1``) skip these gates
-  with a notice.
 
 Cold absolute time is reported but not gated: it measures the uncached
 reference path, whose wall clock mostly tracks runner speed, and the
@@ -139,8 +128,6 @@ def _check_e2e(baseline: dict, fresh: dict, threshold: float) -> bool:
                         threshold, lower_is_better=False)
     regressed |= _check_autotuned(baseline.get("autotuned"),
                                   fresh.get("autotuned"), threshold)
-    regressed |= _check_parallel(baseline.get("parallel"),
-                                 fresh.get("parallel"), threshold)
     return regressed
 
 
@@ -191,48 +178,6 @@ def _check_autotuned(baseline: "dict | None", fresh: "dict | None",
                         baseline["summary"]["autotuned_total_ms"],
                         fresh["summary"]["autotuned_total_ms"],
                         threshold, lower_is_better=True)
-    return regressed
-
-
-def _check_parallel(baseline: "dict | None", fresh: "dict | None",
-                    threshold: float) -> bool:
-    """The thread-parallel gates; True when anything regressed."""
-    if fresh is None:
-        print("  parallel gates skipped: fresh run has no parallel "
-              "block")
-        return False
-    regressed = False
-    cpus = int(fresh.get("cpu_count", 1.0))
-    top = int(max(fresh["workers"]))
-    speedup = fresh["summary"]["speedup"]
-    if cpus > 1 and top > 1:
-        # The absolute bar: on a multi-core runner the worker pool
-        # must beat the serial loop in aggregate, or branch-level
-        # concurrency and cooperative slicing are not actually
-        # overlapping.  (Byte-identity across worker counts is
-        # asserted inside the benchmark, before any timing counts.)
-        ok = speedup > 1.0
-        print(f"  parallel.speedup (workers={top} over serial, "
-              f"{cpus} CPUs): {speedup:.2f}x -- "
-              f"{'ok' if ok else 'REGRESSED'}")
-        regressed |= not ok
-    else:
-        print(f"  parallel absolute-speedup gate skipped: fresh "
-              f"runner has {cpus} CPU(s) "
-              f"(speedup {speedup:.2f}x, informational)")
-    if baseline is None:
-        print("  parallel ratio gate skipped: baseline run has no "
-              "parallel block")
-        return regressed
-    if baseline.get("cpu_count") != fresh.get("cpu_count"):
-        print(f"  parallel ratio gate skipped: baseline recorded on "
-              f"{int(baseline.get('cpu_count', 1.0))} CPU(s), fresh "
-              f"on {cpus} (speedups not comparable)")
-        return regressed
-    regressed |= _check("parallel.speedup",
-                        baseline["summary"]["speedup"],
-                        fresh["summary"]["speedup"],
-                        threshold, lower_is_better=False)
     return regressed
 
 

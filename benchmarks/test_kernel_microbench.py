@@ -116,18 +116,6 @@ def test_bench_depthwise_matvec(benchmark):
     assert np.allclose(out, reference, rtol=1e-5, atol=1e-6)
 
 
-def test_bench_winograd_conv3x3(benchmark, conv_input):
-    """The F(2,3) Winograd conv the autotuner offers under
-    --allow-approx (tolerance-checked, never byte-checked)."""
-    from repro.kernels import (winograd_conv3x3,
-                               winograd_filter_transform)
-    weights = RNG.standard_normal((64, 64, 3, 3)).astype(np.float32)
-    bias = RNG.standard_normal(64).astype(np.float32)
-    u16 = winograd_filter_transform(weights)
-    out = benchmark(winograd_conv3x3, conv_input, u16, bias, 1)
-    assert out.shape == (1, 64, 56, 56)
-
-
 def test_bench_mulayer_planning(benchmark):
     """Wall-clock cost of planning GoogLeNet with the oracle
     partitioner -- the runtime's one-time setup cost."""

@@ -92,29 +92,6 @@ def test_wallclock_e2e():
         autotuned["summary"])
     assert autotuned["summary"]["autotuned_total_ms"] > 0.0
 
-    parallel = results["parallel"]
-    # The thread-parallel axis ran at workers 1, 2, and 4 on every
-    # mini under both lowering families (PFQ's two-variant quantized
-    # pipelines and plain f32); byte-identity of every parallel run
-    # against the serial loop is asserted inside the benchmark itself,
-    # before and after timing.
-    assert parallel["workers"] == [1.0, 2.0, 4.0]
-    for model in minis:
-        for policy in ("pfq", "f32"):
-            cell = parallel["cells"][f"{model}/{policy}"]
-            assert cell["workers1_ms"] > 0.0, (model, policy, cell)
-            assert cell["workers2_ms"] > 0.0, (model, policy, cell)
-            assert cell["workers4_ms"] > 0.0, (model, policy, cell)
-            assert cell["dag_width"] >= 1.0, (model, policy, cell)
-    # GoogLeNet's inception modules are the branch-concurrency case:
-    # its step DAG must actually be wider than a chain.
-    assert parallel["cells"]["googlenet_mini/pfq"]["dag_width"] > 1.0
-    assert parallel["summary"]["workers1_total_ms"] > 0.0
-    assert parallel["summary"]["workers4_total_ms"] > 0.0
-    # Absolute speedup is gated by check_bench_regression.py, which
-    # knows the runner's CPU count; a single-CPU runner cannot
-    # physically beat the serial loop, so no wall-clock assertion here.
-
     summary = results["summary"]
     assert summary["warm_total_ms"] > 0.0
     # The acceptance bar of the caching layer: the zoo sweep runs at

@@ -7,15 +7,13 @@ Six analyzers, one diagnostic vocabulary:
   graph and SoC before anything runs (rules ``PV001``-``PV011``),
   and -- via :func:`verify_program` -- proves a lowered
   :class:`~repro.compile.program.CompiledProgram` consistent with the
-  plan it claims to implement (rule ``PV012``), while
-  :func:`verify_step_dag` proves the program's step DAG sound for
-  thread-parallel execution (rule ``PV013``);
+  plan it claims to implement (rule ``PV012``), and
+  :func:`verify_tuned_variants` proves every autotuned step's kernel
+  variant legal for its step (rule ``PV014``);
 * :class:`TimelineRaceDetector` -- checks a post-run
   :class:`~repro.soc.Timeline` against the graph's happens-before
   relation and the CPU-accelerator handoff protocol
-  (rules ``RC001``-``RC006``); :func:`check_step_trace` replays a
-  traced parallel run against the step DAG's dependence edges
-  (rules ``RC007``/``RC008``);
+  (rules ``RC001``-``RC006``);
 * :class:`DtypeFlowLinter` -- abstract interpretation of the
   quantization dtype/scale facts flowing along graph edges
   (rules ``DT001``-``DT004``);
@@ -46,8 +44,8 @@ from .memory import (ArenaLayout, ArenaSlot, BufferInterval,
                      FootprintSummary, MemoryFootprintAnalyzer,
                      build_arena)
 from .plan_verifier import (PlanVerifier, verify_program,
-                            verify_step_dag, verify_tuned_variants)
-from .races import TimelineRaceDetector, check_step_trace
+                            verify_tuned_variants)
+from .races import TimelineRaceDetector
 from .sarif import (apply_baseline, baseline_document, fingerprint,
                     load_baseline, report_to_sarif, split_locus)
 from .schedulability import (ClusterSchedulabilityAnalyzer,
@@ -84,7 +82,6 @@ __all__ = [
     "baseline_document",
     "build_arena",
     "build_plan",
-    "check_step_trace",
     "fingerprint",
     "lint_cluster_config",
     "lint_serve_config",
@@ -95,7 +92,6 @@ __all__ = [
     "verify_mechanism",
     "verify_run",
     "verify_static",
-    "verify_step_dag",
     "verify_tuned_variants",
     "verify_sweep",
 ]

@@ -68,14 +68,10 @@ RULES: Dict[str, str] = {
     "PV012": "compiled program inconsistent with its plan (step "
              "coverage, placements, channel ranges, storage dtypes, "
              "batch, or stale weight references)",
-    "PV013": "step DAG unsound for parallel execution (cyclic or "
-             "backward dependence edges, cooperative parts that do not "
-             "tile the declared channel ranges, or arena aliasing that "
-             "breaks the anti-dependence ordering)",
     "PV014": "tuned kernel variant illegal for its step (unknown "
              "variant name, variant on a shape/kind/dtype it was never "
-             "derived for, approximate variant without allow_approx, "
-             "or a non-reference variant in an untuned program)",
+             "derived for, or a non-reference variant in an untuned "
+             "program)",
     # -- TimelineRaceDetector ----------------------------------------------
     "RC001": "two busy intervals overlap on one resource",
     "RC002": "compute segment starts before a producer layer's compute "
@@ -88,12 +84,6 @@ RULES: Dict[str, str] = {
              "launch without compute, or launch before its CPU issue)",
     "RC006": "timeline structurally malformed (negative duration, "
              "unknown resource, or unknown segment kind)",
-    "RC007": "parallel task started before a dependence-edge "
-             "predecessor step had completed (scheduler ordering "
-             "violation in a traced run)",
-    "RC008": "tick-overlapping parallel tasks made conflicting "
-             "accesses (overlapping writes, a write racing a read, or "
-             "writes into byte-aliased arena slots)",
     # -- DtypeFlowLinter ---------------------------------------------------
     "DT001": "branch join merges inputs of different storage dtypes",
     "DT002": "requantisation omitted: quantized layer output has no "

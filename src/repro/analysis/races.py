@@ -30,7 +30,7 @@ ledgers without driving the executor into an illegal state.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Union
 
 from ..errors import PlanError
 from ..nn import Graph
@@ -283,141 +283,3 @@ def _fork_by_layer(plan: ExecutionPlan) -> Dict[str, str]:
         for name in branch_assignment.region.layer_names:
             fork_of[name] = branch_assignment.region.fork
     return fork_of
-
-
-# -- traced parallel runs (RC007/RC008) --------------------------------------
-
-def check_step_trace(program: object, dag: object,
-                     trace: Iterable[object]) -> Report:
-    """Race/ordering checks over a traced parallel run.
-
-    The :class:`~repro.compile.parallel.ParallelRuntime` can record a
-    :class:`~repro.compile.parallel.StepTaskTrace` per scheduled task,
-    with logical ticks from one lock-guarded clock.  This function
-    replays the trace against the program's actual dependence
-    structure:
-
-    * **RC007** -- for every installed dependence edge ``i -> j``,
-      every task of step ``i`` must have finished (max end tick)
-      before any task of step ``j`` started (min start tick); a step
-      with no trace entries at all also fires RC007 (it never ran);
-    * **RC008** -- any two tick-overlapping tasks of *different* steps
-      must not conflict: two writes to overlapping channel ranges of
-      one buffer, a write racing a read of the same buffer, or writes
-      landing in byte-aliased arena slots.  Tasks of the same step are
-      exempt -- the runtime orders them internally (parts join before
-      the step retires) and PV013 proves their writes disjoint.
-
-    Args:
-        program: the :class:`~repro.compile.program.CompiledProgram`
-            the trace ran.
-        dag: the :class:`~repro.compile.dag.StepDag` the scheduler
-            used.
-        trace: the recorded :class:`StepTaskTrace` entries.
-
-    Returns:
-        A report with one RC007/RC008 error per violation.
-    """
-    report = Report()
-    entries = list(trace)
-    steps = getattr(program, "steps")
-    deps = getattr(dag, "deps")
-    arena_mode = bool(getattr(dag, "arena_mode", False))
-    arena = getattr(program, "arena")
-
-    starts: Dict[int, int] = {}
-    ends: Dict[int, int] = {}
-    for entry in entries:
-        step = getattr(entry, "step")
-        start = getattr(entry, "start")
-        end = getattr(entry, "end")
-        starts[step] = min(starts.get(step, start), start)
-        ends[step] = max(ends.get(step, end), end)
-
-    for index, step in enumerate(steps):
-        if index not in starts:
-            report.error(
-                "RC007", step.layer,
-                f"step {index} has no trace entries; the scheduler "
-                "never ran it")
-    for dst, dep_list in enumerate(deps):
-        for src in dep_list:
-            if src not in ends or dst not in starts:
-                continue
-            if ends[src] >= starts[dst]:
-                report.error(
-                    "RC007", steps[dst].layer,
-                    f"step {dst} started at tick {starts[dst]} before "
-                    f"its dependence step {src} "
-                    f"({steps[src].layer!r}) finished at tick "
-                    f"{ends[src]}")
-
-    def rng_overlap(a: "Tuple[int, int] | None",
-                    b: "Tuple[int, int] | None") -> bool:
-        if a is None or b is None:
-            return True
-        return a[0] < b[1] and b[0] < a[1]
-
-    def slot_of(buffer: str) -> "object | None":
-        try:
-            return arena.slot_of(buffer)
-        except KeyError:
-            return None
-
-    def aliased(buf_a: str, buf_b: str) -> bool:
-        if not arena_mode:
-            return False
-        a, b = slot_of(buf_a), slot_of(buf_b)
-        if a is None or b is None:
-            return False
-        return (a.offset < b.offset + b.nbytes
-                and b.offset < a.offset + a.nbytes)
-
-    def locus_of(entry: object) -> str:
-        part = getattr(entry, "part")
-        layer = getattr(entry, "layer")
-        return layer if part is None else f"{layer}[part {part}]"
-
-    for i, a in enumerate(entries):
-        for b in entries[i + 1:]:
-            if getattr(a, "step") == getattr(b, "step"):
-                continue
-            if not (getattr(a, "start") < getattr(b, "end")
-                    and getattr(b, "start") < getattr(a, "end")):
-                continue
-            a_writes = getattr(a, "writes")
-            b_writes = getattr(b, "writes")
-            a_reads = getattr(a, "reads")
-            b_reads = getattr(b, "reads")
-            for buf_a, rng_a in a_writes:
-                for buf_b, rng_b in b_writes:
-                    if buf_a == buf_b and rng_overlap(rng_a, rng_b):
-                        report.error(
-                            "RC008", locus_of(a),
-                            f"write to {buf_a!r} {rng_a} races "
-                            f"{locus_of(b)}'s write {rng_b} (ticks "
-                            f"overlap)")
-                    elif buf_a != buf_b and aliased(buf_a, buf_b):
-                        report.error(
-                            "RC008", locus_of(a),
-                            f"write to {buf_a!r} races {locus_of(b)}'s "
-                            f"write to byte-aliased arena slot "
-                            f"{buf_b!r}")
-            for writer, reader, w_entry, r_entry in (
-                    (a_writes, b_reads, a, b),
-                    (b_writes, a_reads, b, a)):
-                for buf_w, _ in writer:
-                    for buf_r in reader:
-                        if buf_w == buf_r:
-                            report.error(
-                                "RC008", locus_of(w_entry),
-                                f"write to {buf_w!r} races "
-                                f"{locus_of(r_entry)}'s read (ticks "
-                                f"overlap)")
-                        elif aliased(buf_w, buf_r):
-                            report.error(
-                                "RC008", locus_of(w_entry),
-                                f"write to {buf_w!r} races "
-                                f"{locus_of(r_entry)}'s read of "
-                                f"byte-aliased arena slot {buf_r!r}")
-    return report

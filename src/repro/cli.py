@@ -20,15 +20,16 @@ Commands:
 ``run``, ``serve``, and ``verify`` accept ``--compiled`` (run the
 compiled fused execution path / prove it consistent, rule PV012);
 ``bench`` times it by default (``--no-compiled`` to skip).
-``run``, ``serve``, and ``bench`` accept ``--workers N`` -- the
-worker-thread count for compiled execution (the cooperative-slice and
-branch-parallel runtime; outputs are byte-identical at any count).
 ``run``, ``compare``, ``verify``, ``serve``, ``cluster``, and
 ``bench`` all accept ``--json`` for machine-readable output.
 ``verify``, ``figure``, ``serve``, ``cluster``, and ``bench`` accept
 ``--jobs N`` to fan independent sweep units across a process pool
 (results are deterministic either way); the default is the CPU count
 capped at 8.
+
+Exit codes: 0 clean, 1 diagnostics dirty (or a compiled run diverged
+from the interpreter), 2 usage error -- including an unknown model or
+SoC name, reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import sys
 from typing import Dict, List, Optional
 
 from .harness.parallel import default_cli_jobs
+from .errors import UnknownNameError
 from .models import build_model, list_models, model_info
 from .runtime import (MuLayer, run_layer_to_processor,
                       run_single_processor)
@@ -79,11 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "byte-identity against the per-layer "
                           "interpreter, and reports the program's "
                           "fused steps and arena size")
-    run.add_argument("--workers", type=int, default=None, metavar="N",
-                     help="worker threads for --compiled execution "
-                          "(default: CPU count capped at 4; 1 = the "
-                          "serial loop; outputs are byte-identical "
-                          "either way)")
     run.add_argument("--autotune", action="store_true",
                      help="with --compiled: microbenchmark the legal "
                           "kernel variants of every fused step at "
@@ -94,12 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="tune-cache file for --autotune (default: "
                           "~/.cache/repro-tune/cache.json, or "
                           "$XDG_CACHE_HOME when set)")
-    run.add_argument("--allow-approx", action="store_true",
-                     help="with --autotune: also consider approximate "
-                          "variants (Winograd F(2,3) for 3x3/stride-1 "
-                          "float convs), tolerance-checked instead of "
-                          "byte-checked; the run's own identity check "
-                          "then compares within tolerance too")
     run.add_argument("--plan", action="store_true",
                      help="print the execution plan")
     run.add_argument("--gantt", action="store_true",
@@ -167,10 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "their plans (serve dispatches are "
                             "timing-only, so this exercises the "
                             "program cache plumbing)")
-    serve.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="worker threads shared by the fleet's "
-                            "compiled executors (one pool for all "
-                            "replicas; default 1 = serial)")
     serve.add_argument("--autotune", action="store_true",
                        help="with --compiled: autotune compiled "
                             "programs through one shared tuner; plan "
@@ -181,10 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="tune-cache file for --autotune (default: "
                             "~/.cache/repro-tune/cache.json, or "
                             "$XDG_CACHE_HOME when set)")
-    serve.add_argument("--allow-approx", action="store_true",
-                       help="with --autotune: also consider "
-                            "approximate variants (Winograd F(2,3)); "
-                            "tolerance-checked, not byte-checked")
     serve.add_argument("--plan-cache-size", type=int, default=None,
                        metavar="N",
                        help="bound the shared plan cache to N entries "
@@ -386,11 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(e.g. BENCH_e2e.json)")
     bench.add_argument("--json", action="store_true",
                        help="print the results as JSON")
-    bench.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="max worker count of the thread-parallel "
-                            "compiled benchmark axis (default 4: "
-                            "times workers 1, 2, and 4; 1 skips the "
-                            "'parallel' block)")
     bench.add_argument("--compiled", action=argparse.BooleanOptionalAction,
                        default=True,
                        help="benchmark the compiled fused execution "
@@ -455,8 +433,7 @@ def _make_tuner(args: argparse.Namespace):
     from .tune import TuneCache, Tuner, default_cache_path
     path = (args.tune_cache if args.tune_cache is not None
             else default_cache_path())
-    return Tuner(cache=TuneCache(path),
-                 allow_approx=args.allow_approx)
+    return Tuner(cache=TuneCache(path))
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -471,13 +448,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     graph = build_model(args.model, with_weights=args.compiled)
     compiled_info: Optional[Dict[str, object]] = None
     if args.mechanism == "mulayer":
-        from .runtime.workers import default_workers
-        workers = (default_workers() if args.workers is None
-                   else args.workers)
         tuner = _make_tuner(args)
         runtime = MuLayer(soc, use_oracle_costs=args.oracle,
-                          compiled=args.compiled, workers=workers,
-                          tuner=tuner)
+                          compiled=args.compiled, tuner=tuner)
         if args.compiled:
             result, compiled_info = _run_compiled(runtime, graph)
             compiled_info["plan_cache"] = runtime.plan_cache.stats()
@@ -535,10 +508,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                              for p in step["placements"]) or "-"
             print(f"  {step['layer']:24s} {step['kind']:15s} "
                   f"{step['variant']:12s} [{where}]")
-        check = ("within tolerance of"
-                 if compiled_info.get("allow_approx")
-                 else "byte-identical to")
-        print(f"  {check} the interpreter: {identical}")
+        print(f"  byte-identical to the interpreter: {identical}")
         plans = compiled_info["plan_cache"]
         timings = compiled_info["executor"]
         print(f"  plan cache {plans['hits']:.0f} hits / "
@@ -568,20 +538,10 @@ def _run_compiled(runtime: MuLayer, graph
     reference = runtime.run(graph, x, calibration=calibration,
                             compiled=False)
     program = runtime.program(graph, calibration=calibration)
-    if program.allow_approx:
-        # Approximate variants (Winograd) are in play: the identity
-        # bar relaxes to the tuner's own acceptance tolerance.
-        identical = all(
-            np.allclose(
-                result.outputs[name].data.astype(np.float64),
-                reference.outputs[name].data.astype(np.float64),
-                rtol=1e-3, atol=1e-4)
-            for name in reference.outputs)
-    else:
-        identical = all(
-            result.outputs[name].data.tobytes()
-            == reference.outputs[name].data.tobytes()
-            for name in reference.outputs)
+    identical = all(
+        result.outputs[name].data.tobytes()
+        == reference.outputs[name].data.tobytes()
+        for name in reference.outputs)
     info = program.describe()
     info["byte_identical"] = identical
     return result, info
@@ -753,8 +713,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                   if args.plan_cache_size is not None else None)
     tuner = _make_tuner(args)
     fleet = Fleet.build(soc_names, args.devices, plan_cache=plan_cache,
-                        compiled=args.compiled, workers=args.workers,
-                        tuner=tuner)
+                        compiled=args.compiled, tuner=tuner)
     batch_timeout_s = (args.batch_timeout_ms / 1e3
                        if args.batch_timeout_ms is not None else None)
     scheduler = make_scheduler(args.scheduler, max_batch=args.max_batch,
@@ -1132,7 +1091,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 0
     results = run_bench(models=models, repeats=args.repeats,
                         jobs=args.jobs, compiled=args.compiled,
-                        workers=args.workers, autotune=args.autotune)
+                        autotune=args.autotune)
     if args.output:
         with open(args.output, "w") as handle:
             json.dump(results, handle, indent=2, sort_keys=True)
@@ -1147,6 +1106,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except UnknownNameError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list-models":
         return _cmd_list_models()
     if args.command == "list-socs":

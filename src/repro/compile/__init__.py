@@ -6,29 +6,15 @@ loops) for a one-time lowering pass: :func:`compile_program` resolves
 every placement, quantization parameter, packed operand, and buffer
 offset statically, leaving a flat list of fused kernel calls whose
 outputs are byte-identical to the interpreted path.
-
-On top of the flat schedule, :func:`build_step_dag` derives the exact
-step-level dependence structure (data edges plus the arena's
-anti-dependence ordering obligations) and :class:`ParallelRuntime`
-executes it on a persistent worker pool -- cooperative placement parts
-and independent branch paths run concurrently, byte-identical to the
-serial loop for any worker count.
+:meth:`CompiledProgram.run` executes that list as one serial loop.
 """
 
 from .compiler import compile_program
-from .dag import StepDag, build_step_dag
-from .parallel import ParallelRuntime, StepTaskTrace
-from .program import (CompiledProgram, CompiledStep, InputSpec,
-                      StepParallelSpec)
+from .program import CompiledProgram, CompiledStep, InputSpec
 
 __all__ = [
     "CompiledProgram",
     "CompiledStep",
     "InputSpec",
-    "ParallelRuntime",
-    "StepDag",
-    "StepParallelSpec",
-    "StepTaskTrace",
-    "build_step_dag",
     "compile_program",
 ]

@@ -59,8 +59,7 @@ from ..kernels import (conv_output_hw, flatten_filters, im2col,
                        max_pool, qgemm_fused)
 from ..kernels.qgemm import (EXACT_GEMM_MAX_DEPTH, fused_const_row,
                              quantize_bias)
-from ..kernels.variants import (depthwise_matvec, winograd_conv3x3,
-                                winograd_filter_transform)
+from ..kernels.variants import depthwise_matvec
 from ..nn import Graph, LayerKind
 from ..nn.layers import Conv2D, DepthwiseConv2D, FullyConnected, Input
 from ..quant import (dequantize_lut, dequantize_to_half,
@@ -70,8 +69,7 @@ from ..runtime.distribution import channel_ranges
 from ..runtime.plan import ExecutionPlan, LayerAssignment
 from ..tensor import DType, QuantParams
 from .program import (CompiledProgram, CompiledStep, InputSpec,
-                      PlacementPart, PrepareFn, StepFn,
-                      StepParallelSpec)
+                      PlacementPart, StepFn)
 
 if TYPE_CHECKING:   # pragma: no cover - typing only (avoids a cycle)
     from ..tune import Tuner
@@ -79,13 +77,12 @@ if TYPE_CHECKING:   # pragma: no cover - typing only (avoids a cycle)
 #: Layers lowered through the shared GEMM path.
 _GemmLayer = Union[Conv2D, FullyConnected]
 
-#: A lowering candidate offered to the tuner: (variant name, step fn,
-#: parallel spec or None).
-_StepCandidate = Tuple[str, StepFn, Optional[StepParallelSpec]]
+#: Builds one prepared-operand variant (im2col columns / dequantized
+#: lhs) from the step's single input array.
+PrepareFn = Callable[[np.ndarray], np.ndarray]
 
-#: Variants validated by tolerance instead of byte identity; legal
-#: only when the tuner runs with ``allow_approx``.
-APPROX_VARIANTS = frozenset({"winograd"})
+#: A lowering candidate offered to the tuner: (variant name, step fn).
+_StepCandidate = Tuple[str, StepFn]
 
 #: Kinds whose quantization parameters pass through from their input.
 _QPARAMS_PASSTHROUGH = frozenset({
@@ -250,7 +247,7 @@ class _Lowering:
         return make_input
 
     def _choose(self, name: str, candidates: List[_StepCandidate]
-                ) -> Tuple[StepFn, Optional[StepParallelSpec], str]:
+                ) -> Tuple[StepFn, str]:
         """Ask the tuner to pick among the step's legal lowerings.
 
         ``candidates[0]`` is the reference; without a tuner (or with a
@@ -258,23 +255,20 @@ class _Lowering:
         compilation is exactly the code path that existed before
         autotuning.
         """
-        ref_name, ref_fn, ref_spec = candidates[0]
+        ref_name, ref_fn = candidates[0]
         if self.tuner is None or len(candidates) == 1:
-            return ref_fn, ref_spec, ref_name
+            return ref_fn, ref_name
         signature = self._signature(name)
-        winner = self.tuner.select(
-            signature, [(cand, fn) for cand, fn, _ in candidates],
-            self._tune_input(name, signature),
-            approx=APPROX_VARIANTS)
-        for cand, fn, spec in candidates:
+        winner = self.tuner.select(signature, candidates,
+                                   self._tune_input(name, signature))
+        for cand, fn in candidates:
             if cand == winner:
-                return fn, spec, cand
-        return ref_fn, ref_spec, ref_name
+                return fn, cand
+        return ref_fn, ref_name
 
     # -- GEMM layers (conv / FC) ----------------------------------------------
 
-    def lower_gemm(self, name: str
-                   ) -> Tuple[StepFn, Optional[StepParallelSpec], str]:
+    def lower_gemm(self, name: str) -> Tuple[StepFn, str]:
         layer = self.graph.layer(name)
         assert isinstance(layer, (Conv2D, FullyConnected))
         if layer.weights is None or layer.bias is None:
@@ -303,14 +297,13 @@ class _Lowering:
         lhs_builders = self._gemm_lhs_builders(layer, x_qparams)
         axis = 1 if len(self.out_shape(name)) >= 2 else 0
 
-        fn, spec = self._gemm_fn_spec(parts, placements, lhs_builders,
-                                      axis)
-        candidates: List[_StepCandidate] = [("reference", fn, spec)]
+        candidates: List[_StepCandidate] = [
+            ("reference", self._gemm_fn(parts, lhs_builders, axis))]
         if self.tuner is not None:
             direct = self._direct1x1_candidate(name, layer, x_qparams,
                                                placements, axis)
             if direct is not None:
-                candidates.append(("direct1x1",) + direct)
+                candidates.append(("direct1x1", direct))
             if chunk is not None and any(variant != "codes"
                                          for variant, _ in parts):
                 # Batch-folded float GEMM: one (B*M, K) call instead
@@ -321,20 +314,16 @@ class _Lowering:
                     self._gemm_part(name, layer, resource, rng,
                                     x_qparams, None)
                     for resource, rng in placements]
-                folded_fn, folded_spec = self._gemm_fn_spec(
-                    folded_parts, placements, lhs_builders, axis)
-                candidates.append(("folded", folded_fn, folded_spec))
-            wino = self._winograd_candidate(name, layer)
-            if wino is not None:
-                candidates.append(("winograd", wino, None))
+                candidates.append(("folded", self._gemm_fn(
+                    folded_parts, lhs_builders, axis)))
         return self._choose(name, candidates)
 
-    def _gemm_fn_spec(self, parts: List[Tuple[str, Callable[
-                          [np.ndarray], np.ndarray]]],
-                      placements: Tuple[PlacementPart, ...],
-                      lhs_builders: Dict[str, PrepareFn],
-                      axis: int) -> Tuple[StepFn, StepParallelSpec]:
-        """Serial fn + parallel spec over one set of GEMM parts."""
+    def _gemm_fn(self, parts: List[Tuple[str, Callable[[np.ndarray],
+                                                       np.ndarray]]],
+                 lhs_builders: Dict[str, PrepareFn], axis: int) -> StepFn:
+        """The step fn over one set of GEMM parts: each lhs variant is
+        built once, each part runs on it, outputs join in channel
+        order."""
 
         def fn(inputs: List[np.ndarray]) -> np.ndarray:
             (x,) = inputs
@@ -350,13 +339,7 @@ class _Lowering:
                 return outs[0]
             return np.concatenate(outs, axis=axis)
 
-        spec = StepParallelSpec(
-            prepare=lhs_builders,
-            parts=tuple((variant, rng, part)
-                        for (variant, part), (_, rng)
-                        in zip(parts, placements)),
-            axis=axis)
-        return fn, spec
+        return fn
 
     def _gemm_lhs_builders(self, layer: _GemmLayer,
                            x_qparams: Optional[QuantParams]
@@ -368,12 +351,6 @@ class _Lowering:
         256-entry dequantization table, exactly as the functional
         column cache shares them between a cooperative layer's integer
         and F16 placements.
-
-        Every builder takes an optional ``scratch`` buffer (a
-        per-worker flat uint8 array) that, when given, receives the
-        im2col column matrix in place of a fresh allocation -- the
-        parallel runtime's pre-planned transient slot.  Values are
-        identical with or without it.
         """
         is_conv = isinstance(layer, Conv2D)
         builders: Dict[str, PrepareFn] = {}
@@ -388,35 +365,25 @@ class _Lowering:
             lut_half = dequantize_lut(x_qparams).astype(np.float32)
             qp = x_qparams
             if is_conv:
-                def codes3d(x: np.ndarray,
-                            scratch: Optional[np.ndarray]) -> np.ndarray:
+                def codes3d(x: np.ndarray) -> np.ndarray:
                     return im2col(x, layer.kernel, layer.stride,
-                                  layer.padding, pad_value=pad,
-                                  out=scratch)
+                                  layer.padding, pad_value=pad)
 
-                def build_codes(x: np.ndarray,
-                                scratch: Optional[np.ndarray] = None
-                                ) -> np.ndarray:
-                    c = codes3d(x, scratch)
+                def build_codes(x: np.ndarray) -> np.ndarray:
+                    c = codes3d(x)
                     return c.reshape(-1, c.shape[-1])
 
-                def build_half(x: np.ndarray,
-                               scratch: Optional[np.ndarray] = None
-                               ) -> np.ndarray:
-                    c = codes3d(x, scratch)
+                def build_half(x: np.ndarray) -> np.ndarray:
+                    c = codes3d(x)
                     return lut_half[c].reshape(-1, c.shape[-1])
 
                 builders["codes"] = build_codes
                 builders["half"] = build_half
             else:
-                def build_codes(x: np.ndarray,
-                                scratch: Optional[np.ndarray] = None
-                                ) -> np.ndarray:
+                def build_codes(x: np.ndarray) -> np.ndarray:
                     return x
 
-                def build_half(x: np.ndarray,
-                               scratch: Optional[np.ndarray] = None
-                               ) -> np.ndarray:
+                def build_half(x: np.ndarray) -> np.ndarray:
                     return dequantize_to_half(x, qp).astype(np.float32)
 
                 builders["codes"] = build_codes
@@ -424,35 +391,27 @@ class _Lowering:
             builders["half_f32"] = builders["half"]
         else:
             if is_conv:
-                def build_f16(x: np.ndarray,
-                              scratch: Optional[np.ndarray] = None
-                              ) -> np.ndarray:
+                def build_f16(x: np.ndarray) -> np.ndarray:
                     c = im2col(x.astype(np.float32).astype(np.float16)
                                .astype(np.float32),
                                layer.kernel, layer.stride, layer.padding,
-                               pad_value=0.0, out=scratch)
+                               pad_value=0.0)
                     return c.reshape(-1, c.shape[-1])
 
-                def build_f32(x: np.ndarray,
-                              scratch: Optional[np.ndarray] = None
-                              ) -> np.ndarray:
+                def build_f32(x: np.ndarray) -> np.ndarray:
                     c = im2col(x.astype(np.float32), layer.kernel,
                                layer.stride, layer.padding,
-                               pad_value=0.0, out=scratch)
+                               pad_value=0.0)
                     return c.reshape(-1, c.shape[-1])
 
                 builders["f16"] = build_f16
                 builders["f32"] = build_f32
             else:
-                def build_f16(x: np.ndarray,
-                              scratch: Optional[np.ndarray] = None
-                              ) -> np.ndarray:
+                def build_f16(x: np.ndarray) -> np.ndarray:
                     return (x.astype(np.float32).astype(np.float16)
                             .astype(np.float32))
 
-                def build_f32(x: np.ndarray,
-                              scratch: Optional[np.ndarray] = None
-                              ) -> np.ndarray:
+                def build_f32(x: np.ndarray) -> np.ndarray:
                     return x.astype(np.float32)
 
                 builders["f16"] = build_f16
@@ -589,7 +548,7 @@ class _Lowering:
             self, name: str, layer: _GemmLayer,
             x_qparams: Optional[QuantParams],
             placements: Tuple[PlacementPart, ...], axis: int
-    ) -> Optional[Tuple[StepFn, StepParallelSpec]]:
+    ) -> Optional[StepFn]:
         """The direct NCHW GEMM lowering of a 1x1 conv, or None.
 
         A 1x1/stride-1/no-padding conv's im2col is a pure transpose,
@@ -617,7 +576,7 @@ class _Lowering:
         parts = [self._direct1x1_part(name, layer, resource, rng,
                                       x_qparams)
                  for resource, rng in placements]
-        return self._gemm_fn_spec(parts, placements, builders, axis)
+        return self._gemm_fn(parts, builders, axis)
 
     def _direct1x1_builders(self, x_qparams: Optional[QuantParams],
                             in_c: int) -> Dict[str, PrepareFn]:
@@ -631,30 +590,22 @@ class _Lowering:
             x_zero = float(x_qparams.zero_point)
             lut_half = dequantize_lut(x_qparams).astype(np.float32)
 
-            def build_centered(x: np.ndarray,
-                               scratch: Optional[np.ndarray] = None
-                               ) -> np.ndarray:
+            def build_centered(x: np.ndarray) -> np.ndarray:
                 return (x.reshape(batch, in_c, -1).astype(np.float64)
                         - x_zero)
 
-            def build_half(x: np.ndarray,
-                           scratch: Optional[np.ndarray] = None
-                           ) -> np.ndarray:
+            def build_half(x: np.ndarray) -> np.ndarray:
                 return lut_half[x].reshape(batch, in_c, -1)
 
             builders["nchw_centered"] = build_centered
             builders["nchw_half"] = build_half
             builders["nchw_half_f32"] = build_half
         else:
-            def build_f16(x: np.ndarray,
-                          scratch: Optional[np.ndarray] = None
-                          ) -> np.ndarray:
+            def build_f16(x: np.ndarray) -> np.ndarray:
                 return (x.astype(np.float32).astype(np.float16)
                         .astype(np.float32).reshape(batch, in_c, -1))
 
-            def build_f32(x: np.ndarray,
-                          scratch: Optional[np.ndarray] = None
-                          ) -> np.ndarray:
+            def build_f32(x: np.ndarray) -> np.ndarray:
                 return x.astype(np.float32).reshape(batch, in_c, -1)
 
             builders["nchw_f16"] = build_f16
@@ -760,48 +711,9 @@ class _Lowering:
 
         return run
 
-    def _winograd_candidate(self, name: str,
-                            layer: _GemmLayer) -> Optional[StepFn]:
-        """Opt-in approximate Winograd F(2,3) lowering, or None.
-
-        Offered only when the tuner runs with ``allow_approx``, for
-        3x3/stride-1 convs whose every pipeline computes in F32 (the
-        uniform-f32 policy); validated by tolerance, never by byte
-        identity, and excluded from the benchmark's autotuned block.
-        """
-        tuner = self.tuner
-        if tuner is None or not getattr(tuner, "allow_approx", False):
-            return None
-        if not isinstance(layer, Conv2D):
-            return None
-        if layer.kernel != 3 or layer.stride != 1:
-            return None
-        if self.storage is DType.QUINT8:
-            return None
-        computes = {self.policy.compute_dtype(resource)
-                    for resource, _ in self.placement_parts(name)}
-        if computes != {DType.F32}:
-            return None
-        u16 = winograd_filter_transform(layer.weights)
-        bias = np.asarray(layer.bias, dtype=np.float32)
-        padding = layer.padding
-        relu = layer.relu
-        storage_np = self.storage.numpy_dtype
-
-        def fn(inputs: List[np.ndarray]) -> np.ndarray:
-            (x,) = inputs
-            out = winograd_conv3x3(x.astype(np.float32), u16, bias,
-                                   padding=padding, relu=relu)
-            if out.dtype == storage_np:
-                return out
-            return out.astype(storage_np)
-
-        return fn
-
     # -- depthwise convolution ------------------------------------------------
 
-    def lower_depthwise(self, name: str
-                        ) -> Tuple[StepFn, StepParallelSpec, str]:
+    def lower_depthwise(self, name: str) -> Tuple[StepFn, str]:
         layer = self.graph.layer(name)
         assert isinstance(layer, DepthwiseConv2D)
         if layer.weights is None or layer.bias is None:
@@ -819,32 +731,31 @@ class _Lowering:
         columns_builders = self._depthwise_columns_builders(
             layer, x_qparams, in_shape)
 
-        def build(matvec: bool) -> Tuple[StepFn, StepParallelSpec]:
+        def build(matvec: bool) -> StepFn:
             parts = [self._depthwise_part(name, layer, resource, rng,
                                           x_qparams, in_shape,
                                           matvec=matvec)
                      for resource, rng in parts_meta]
-            return self._depthwise_fn_spec(parts, columns_builders,
-                                           int(in_shape[1]))
+            return self._depthwise_fn(parts, columns_builders,
+                                      int(in_shape[1]))
 
-        fn, spec = build(matvec=False)
-        candidates: List[_StepCandidate] = [("reference", fn, spec)]
+        candidates: List[_StepCandidate] = [
+            ("reference", build(matvec=False))]
         if self.tuner is not None:
             # Same per-channel dot products expressed as a batched
             # mat-vec instead of an einsum contraction: exact on the
             # integer pipelines (f64/int64 accumulation is a
             # mathematically determined value either way), byte-checked
             # on the float ones.
-            mv_fn, mv_spec = build(matvec=True)
-            candidates.append(("matvec", mv_fn, mv_spec))
+            candidates.append(("matvec", build(matvec=True)))
         return self._choose(name, candidates)
 
-    def _depthwise_fn_spec(
+    def _depthwise_fn(
             self, parts: List[Tuple[str, Optional[Tuple[int, int]],
                                     Callable[[np.ndarray], np.ndarray]]],
             columns_builders: Dict[str, PrepareFn],
-            channels_total: int) -> Tuple[StepFn, StepParallelSpec]:
-        """Serial fn + parallel spec over one set of depthwise parts."""
+            channels_total: int) -> StepFn:
+        """The step fn over one set of depthwise parts."""
 
         def fn(inputs: List[np.ndarray]) -> np.ndarray:
             (x,) = inputs
@@ -861,20 +772,7 @@ class _Lowering:
                 return outs[0]
             return np.concatenate(outs, axis=1)
 
-        def sliced_part(rng: Optional[Tuple[int, int]],
-                        part: Callable[[np.ndarray], np.ndarray]
-                        ) -> Callable[[np.ndarray], np.ndarray]:
-            def run(cols: np.ndarray) -> np.ndarray:
-                return part(self._slice_columns(cols, rng,
-                                                channels_total))
-            return run
-
-        spec = StepParallelSpec(
-            prepare=dict(columns_builders),
-            parts=tuple((variant, rng, sliced_part(rng, part))
-                        for variant, rng, part in parts),
-            axis=1)
-        return fn, spec
+        return fn
 
     def _slice_columns(self, columns: np.ndarray,
                        rng: Optional[Tuple[int, int]],
@@ -898,21 +796,18 @@ class _Lowering:
         in_h, in_w = int(in_shape[2]), int(in_shape[3])
         builders: Dict[str, PrepareFn] = {}
 
-        def lower(values: np.ndarray, pad: float,
-                  scratch: Optional[np.ndarray]) -> np.ndarray:
+        def lower(values: np.ndarray, pad: float) -> np.ndarray:
             n, c = values.shape[0], values.shape[1]
             return im2col(values.reshape(n * c, 1, in_h, in_w),
                           layer.kernel, layer.stride, layer.padding,
-                          pad_value=pad, out=scratch)
+                          pad_value=pad)
 
         if self.storage is DType.QUINT8:
             assert x_qparams is not None
             pad = float(x_qparams.zero_point)
 
-            def build_codes(x: np.ndarray,
-                            scratch: Optional[np.ndarray] = None
-                            ) -> np.ndarray:
-                return lower(x, pad, scratch)
+            def build_codes(x: np.ndarray) -> np.ndarray:
+                return lower(x, pad)
 
             builders["codes"] = build_codes
         else:
@@ -922,15 +817,11 @@ class _Lowering:
                     values = values.astype(np.float16).astype(np.float32)
                 return values
 
-            def build_f16f(x: np.ndarray,
-                           scratch: Optional[np.ndarray] = None
-                           ) -> np.ndarray:
-                return lower(float_values(x, True), 0.0, scratch)
+            def build_f16f(x: np.ndarray) -> np.ndarray:
+                return lower(float_values(x, True), 0.0)
 
-            def build_f32f(x: np.ndarray,
-                           scratch: Optional[np.ndarray] = None
-                           ) -> np.ndarray:
-                return lower(float_values(x, False), 0.0, scratch)
+            def build_f32f(x: np.ndarray) -> np.ndarray:
+                return lower(float_values(x, False), 0.0)
 
             builders["f16f"] = build_f16f
             builders["f32f"] = build_f32f
@@ -1170,20 +1061,18 @@ class _Lowering:
             if isinstance(layer, Input):
                 inputs.append(self.input_spec(name))
                 continue
-            spec: Optional[StepParallelSpec]
             if layer.kind in (LayerKind.CONV, LayerKind.FC):
-                fn, spec, variant = self.lower_gemm(name)
+                fn, variant = self.lower_gemm(name)
             elif layer.kind is LayerKind.DEPTHWISE_CONV:
-                fn, spec, variant = self.lower_depthwise(name)
+                fn, variant = self.lower_depthwise(name)
             else:
-                fn, spec, variant = (self.lower_invariant(name), None,
-                                     "reference")
+                fn, variant = self.lower_invariant(name), "reference"
             steps.append(CompiledStep(
                 layer=name, kind=layer.kind.value,
                 placements=self.placement_parts(name),
                 dtype=self.storage,
                 inputs=tuple(self.graph.inputs_of(name)),
-                fn=fn, parallel=spec, variant=variant))
+                fn=fn, variant=variant))
         shapes = {name: self.out_shape(name)
                   for name in self.graph.topological_order()}
         dtypes = {name: self.storage for name in shapes}
@@ -1203,10 +1092,7 @@ class _Lowering:
             plan=self.plan,
             calibration=self.calibration,
             weight_refs=tuple(self.weight_refs),
-            tuned=self.tuner is not None,
-            allow_approx=bool(self.tuner is not None
-                              and getattr(self.tuner, "allow_approx",
-                                          False)))
+            tuned=self.tuner is not None)
 
 
 def compile_program(graph: Graph, plan: ExecutionPlan,
@@ -1233,7 +1119,7 @@ def compile_program(graph: Graph, plan: ExecutionPlan,
     Returns:
         The compiled program, byte-identical in its outputs to running
         the same plan through the functional executor (autotuned
-        programs included, unless the tuner ran with ``allow_approx``).
+        programs included).
     """
     plan.validate(graph)
     if plan.policy.is_quantized and calibration is None:

@@ -66,45 +66,6 @@ StepFn = Callable[[List[np.ndarray]], np.ndarray]
 #: contiguous output-channel range, or ``None`` for the whole layer.
 PlacementPart = Tuple[str, Optional[Tuple[int, int]]]
 
-#: Builds one prepared-operand variant (im2col columns / dequantized
-#: lhs) from the step's single input array.  The optional ``scratch``
-#: keyword receives a per-worker flat uint8 buffer when the parallel
-#: runtime runs the step on a pool worker (the serial path passes
-#: nothing); values are identical either way.
-PrepareFn = Callable[..., np.ndarray]
-
-#: One concurrent portion of a cooperative step: the prepared-operand
-#: variant it consumes, its output-channel range, and the bound kernel
-#: mapping the prepared operand to that range's output block.
-ParallelPart = Tuple[str, Optional[Tuple[int, int]],
-                     Callable[[np.ndarray], np.ndarray]]
-
-
-@dataclasses.dataclass(frozen=True)
-class StepParallelSpec:
-    """How one cooperative step fans out across pool workers.
-
-    The serial ``fn`` of a :class:`CompiledStep` remains the source of
-    truth; this spec exposes the *same* prepared-operand builders and
-    part kernels individually so the parallel runtime can run the
-    parts concurrently and join them at their fixed channel offsets --
-    byte-identical to ``fn``'s fixed-order ``np.concatenate``.
-
-    Attributes:
-        prepare: prepared-operand builder per variant name (each built
-            at most once per step execution, exactly like the serial
-            closure's per-variant cache).
-        parts: the placement parts in concatenation order; every
-            variant referenced here has a builder in ``prepare``.
-        axis: the concatenation axis of the join (the output-channel
-            axis).
-    """
-
-    prepare: Dict[str, PrepareFn]
-    parts: Tuple[ParallelPart, ...]
-    axis: int
-
-
 @dataclasses.dataclass(frozen=True)
 class CompiledStep:
     """One pre-resolved compute step of a compiled program.
@@ -119,9 +80,6 @@ class CompiledStep:
         dtype: storage dtype of the step's output.
         inputs: producing layers whose outputs this step consumes.
         fn: the bound kernel closure.
-        parallel: per-part decomposition for the thread-parallel
-            runtime, or ``None`` for steps that execute as one task
-            (single placements and placement-invariant kinds).
         variant: the kernel lowering baked into ``fn`` --
             ``"reference"`` unless an autotuner selected an
             alternative (``PV014`` checks the name's legality against
@@ -134,7 +92,6 @@ class CompiledStep:
     dtype: DType
     inputs: Tuple[str, ...]
     fn: StepFn
-    parallel: Optional[StepParallelSpec] = None
     variant: str = "reference"
 
 
@@ -168,9 +125,6 @@ class CompiledProgram:
             program stale.
         tuned: True when an autotuner selected the step variants
             (even if every winner was the reference lowering).
-        allow_approx: True when the tuner was permitted to select
-            approximate variants (Winograd); ``PV014`` rejects an
-            approximate variant on a program without this flag.
     """
 
     def __init__(self, graph_name: str, policy_name: str, mechanism: str,
@@ -185,8 +139,7 @@ class CompiledProgram:
                  calibration: Optional[CalibrationTable],
                  weight_refs: Tuple[Tuple[str, np.ndarray, np.ndarray],
                                     ...],
-                 tuned: bool = False,
-                 allow_approx: bool = False) -> None:
+                 tuned: bool = False) -> None:
         self.graph_name = graph_name
         self.policy_name = policy_name
         self.mechanism = mechanism
@@ -203,7 +156,6 @@ class CompiledProgram:
         self._calibration = calibration
         self._weight_refs = weight_refs
         self.tuned = tuned
-        self.allow_approx = allow_approx
         # Lazily allocated arena storage (keep="outputs" runs only);
         # reused across runs, so steady state allocates no activations.
         self._arena_buf: Optional[np.ndarray] = None
@@ -251,7 +203,6 @@ class CompiledProgram:
             "mechanism": self.mechanism,
             "batch": self.batch,
             "tuned": self.tuned,
-            "allow_approx": self.allow_approx,
             "steps": [
                 {"layer": step.layer, "kind": step.kind,
                  "dtype": str(step.dtype),
@@ -281,23 +232,6 @@ class CompiledProgram:
                 .view(np_dtype).reshape(shape))
         self._arena_buf = buf
         self._views = views
-
-    def arena_views(self) -> Dict[str, np.ndarray]:
-        """The per-buffer arena views (allocating the arena on first
-        use).  The parallel runtime writes cooperative placement parts
-        directly into channel slices of these views; they alias the
-        same reused storage the serial ``keep="outputs"`` path uses."""
-        self._ensure_arena()
-        return self._views
-
-    def check_input(self, x: np.ndarray) -> np.ndarray:
-        """Validate an input batch against the compiled shapes."""
-        return self._check_input(x)
-
-    def tensor(self, name: str, data: np.ndarray) -> Tensor:
-        """Wrap a storage-domain array in the layer's output tensor
-        metadata (dtype + quantization parameters)."""
-        return self._tensor(name, data)
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)

@@ -11,6 +11,17 @@ class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` package."""
 
 
+class UnknownNameError(ReproError, KeyError):
+    """A model or SoC name is not in its registry.
+
+    Also a :class:`KeyError`, since it reports a failed registry
+    lookup; its message is printed as is, without KeyError's quoting.
+    """
+
+    def __str__(self) -> str:
+        return str(self.args[0]) if self.args else ""
+
+
 class ShapeError(ReproError):
     """A tensor or layer received data whose shape is inconsistent."""
 

@@ -20,13 +20,6 @@ perf trajectory is tracked across PRs:
   output asserted before and after timing.  The block records the
   per-cell speedups, a kernel-variant histogram over all tuned
   programs, and the geometric-mean speedup CI gates on.
-* **parallel** -- the compiled program's serial loop (workers=1)
-  against the thread-parallel worker-pool runtime at workers 2 and 4,
-  per mini model under the processor-friendly and f32 policies, on the
-  same matched cooperative-split plan.  Every parallel run is asserted
-  byte-identical to the serial outputs before and after timing; the
-  block records the runner's CPU count so the regression gate knows
-  whether an absolute speedup is even physically possible.
 * **sweep** -- the static verification sweep over the mini zoo, serial
   versus ``jobs`` processes.
 
@@ -39,7 +32,6 @@ under a minute so CI can afford it as a smoke job.
 from __future__ import annotations
 
 import math
-import os
 import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -258,76 +250,10 @@ def _bench_autotuned(graph: Graph, calibration: CalibrationTable,
     return cell, tuned.variant_histogram()
 
 
-#: Worker counts of the thread-parallel compiled benchmark axis.
-PARALLEL_WORKERS = (1, 2, 4)
-
-#: Policies the parallel benchmark times: processor-friendly
-#: quantization (two-variant cooperative pipelines, the paper's
-#: mechanism) and uniform f32 (the float pipeline) cover both
-#: lowering families without doubling the smoke budget.
-_PARALLEL_POLICIES = ("pfq", "f32")
-
-
-def _bench_parallel(graph: Graph, calibration: CalibrationTable,
-                    policy: QuantizationPolicy, x: np.ndarray,
-                    repeats: int,
-                    workers_axis: Sequence[int]) -> Dict[str, float]:
-    """Thread-parallel compiled timing of one (model, policy) cell.
-
-    Times the compiled program's serial loop against the worker-pool
-    runtime at each worker count on the matched cooperative-split
-    plan, asserting every parallel run byte-identical to the serial
-    outputs before and after timing (min over ``repeats``, like every
-    other leg).
-    """
-    from ..compile import (ParallelRuntime, build_step_dag,
-                           compile_program)
-
-    plan = _matched_split_plan(graph, policy)
-    program = compile_program(graph, plan, calibration,
-                              mechanism="bench")
-    serial = program.run(x, keep="outputs")
-    reference = {name: tensor.data.tobytes()
-                 for name, tensor in serial.items()}
-
-    def check(outputs: Dict, workers: int) -> None:
-        for name, expected in reference.items():
-            if outputs[name].data.tobytes() != expected:
-                raise AssertionError(
-                    f"{workers}-worker compiled run diverged from "
-                    f"the serial loop on {name!r}")
-
-    dag = build_step_dag(program, keep="outputs")
-    cell: Dict[str, float] = {
-        "steps": float(len(program.steps)),
-        "dag_width": float(dag.width()),
-    }
-    for workers in workers_axis:
-        if workers == 1:
-            ms, out = min_time_ms(
-                lambda: program.run(x, keep="outputs"), repeats)
-            check(out, workers)
-        else:
-            with ParallelRuntime(workers=workers) as runtime:
-                check(runtime.run(program, x, keep="outputs"),
-                      workers)
-                ms, out = min_time_ms(
-                    lambda: runtime.run(program, x, keep="outputs"),
-                    repeats)
-                check(out, workers)
-        cell[f"workers{workers}_ms"] = ms
-    top = max(workers_axis)
-    top_ms = cell[f"workers{top}_ms"]
-    cell["speedup"] = (cell["workers1_ms"] / top_ms if top_ms > 0
-                       else float("inf"))
-    return cell
-
-
 def run_bench(models: Optional[Sequence[str]] = None, repeats: int = 3,
               jobs: Optional[int] = None,
               policies: Optional[Sequence[str]] = None,
               compiled: bool = True,
-              workers: Optional[int] = None,
               autotune: bool = True) -> Dict:
     """The full benchmark; returns a JSON-ready dict.
 
@@ -341,11 +267,6 @@ def run_bench(models: Optional[Sequence[str]] = None, repeats: int = 3,
         compiled: also time the compiled fused path against the warm
             functional path on every mini-model cell, asserting
             byte-identity (the ``compiled`` block of the output).
-        workers: maximum worker count of the thread-parallel compiled
-            axis (the ``parallel`` block): the axis is
-            :data:`PARALLEL_WORKERS` clipped to this bound (default
-            4, i.e. workers 1, 2, and 4).  ``workers=1`` skips the
-            block; it also requires ``compiled``.
         autotune: also time the autotuned compiled path against the
             untuned compiled baseline on every mini-model cell,
             asserting byte-identity (the ``autotuned`` block of the
@@ -353,9 +274,6 @@ def run_bench(models: Optional[Sequence[str]] = None, repeats: int = 3,
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    max_workers = 4 if workers is None else max(1, int(workers))
-    workers_axis = tuple(w for w in PARALLEL_WORKERS
-                         if w == 1 or w <= max_workers)
     if models is not None:
         chosen = tuple(policies) if policies else tuple(BENCH_POLICIES)
         grid = [(model, chosen, repeats) for model in models]
@@ -373,7 +291,6 @@ def run_bench(models: Optional[Sequence[str]] = None, repeats: int = 3,
 
     functional: Dict[str, Dict[str, float]] = {}
     compiled_cells: Dict[str, Dict[str, float]] = {}
-    parallel_cells: Dict[str, Dict[str, float]] = {}
     autotuned_cells: Dict[str, Dict[str, float]] = {}
     autotuned_variants: Dict[str, int] = {}
     cold_total = warm_total = 0.0
@@ -390,7 +307,7 @@ def run_bench(models: Optional[Sequence[str]] = None, repeats: int = 3,
             # min over 3 samples still flakes on a loaded shared
             # runner; a floor of 7 stabilizes the minimum without
             # touching the full models (whose single repeat is the
-            # expensive leg) or the compiled/parallel/tuned legs.
+            # expensive leg) or the compiled/tuned legs.
             cell = _bench_model_policy(
                 graph, calibration, BENCH_POLICIES[policy_name], x,
                 max(model_repeats, 7) if model in MINI_MODELS
@@ -416,13 +333,6 @@ def run_bench(models: Optional[Sequence[str]] = None, repeats: int = 3,
                     for variant, count in histogram.items():
                         autotuned_variants[variant] = (
                             autotuned_variants.get(variant, 0) + count)
-                if (policy_name in _PARALLEL_POLICIES
-                        and len(workers_axis) > 1):
-                    parallel_cells[f"{model}/{policy_name}"] = (
-                        _bench_parallel(
-                            graph, calibration,
-                            BENCH_POLICIES[policy_name], x,
-                            model_repeats, workers_axis))
 
     chosen_models = tuple(sweep_models)
     sweep: Dict[str, float] = {}
@@ -483,21 +393,6 @@ def run_bench(models: Optional[Sequence[str]] = None, repeats: int = 3,
                     for cell in autotuned_cells.values()),
                 "geomean_speedup": geomean,
             },
-        }
-    if parallel_cells:
-        totals = {w: sum(cell[f"workers{w}_ms"]
-                         for cell in parallel_cells.values())
-                  for w in workers_axis}
-        top = max(workers_axis)
-        summary = {f"workers{w}_total_ms": totals[w]
-                   for w in workers_axis}
-        summary["speedup"] = (totals[1] / totals[top]
-                              if totals[top] > 0 else float("inf"))
-        results["parallel"] = {
-            "cpu_count": float(os.cpu_count() or 1),
-            "workers": [float(w) for w in workers_axis],
-            "cells": parallel_cells,
-            "summary": summary,
         }
     return results
 
@@ -789,27 +684,6 @@ def render_bench(results: Dict) -> str:
                  f"{asummary['autotuned_total_ms']:.1f} ms, geomean "
                  f"speedup {asummary['geomean_speedup']:.2f}x"
                  f"\nvariants: {variants}")
-    parallel = results.get("parallel")
-    if parallel:
-        axis = [int(w) for w in parallel["workers"]]
-        rows = [[cell_name]
-                + [cell[f"workers{w}_ms"] for w in axis]
-                + [cell["speedup"], int(cell["dag_width"])]
-                for cell_name in sorted(parallel["cells"])
-                for cell in [parallel["cells"][cell_name]]]
-        text += "\n\n" + format_table(
-            ["model/policy"] + [f"w{w}_ms" for w in axis]
-            + ["speedup", "dag_width"],
-            rows,
-            title=(f"thread-parallel compiled path "
-                   f"({int(parallel['cpu_count'])} CPUs)"))
-        psummary = parallel["summary"]
-        top = max(axis)
-        text += (f"\n\nparallel total: workers=1 "
-                 f"{psummary['workers1_total_ms']:.1f} ms, "
-                 f"workers={top} "
-                 f"{psummary[f'workers{top}_total_ms']:.1f} ms, "
-                 f"speedup {psummary['speedup']:.2f}x")
     sweep = results.get("sweep", {})
     if "serial_s" in sweep:
         text += (f"\nverify sweep ({int(sweep.get('cells', 0))} cells): "

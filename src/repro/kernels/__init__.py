@@ -6,8 +6,7 @@ from .op_cache import OperandCache
 from .pooling import avg_pool, global_avg_pool, max_pool
 from .qgemm import (fused_const_row, qgemm, qgemm_accumulate, qgemm_fused,
                     quantize_bias)
-from .variants import (conv1x1_direct_f32, depthwise_matvec,
-                       winograd_conv3x3, winograd_filter_transform)
+from .variants import conv1x1_direct_f32, depthwise_matvec
 
 __all__ = [
     "gemm_f16",
@@ -27,6 +26,4 @@ __all__ = [
     "quantize_bias",
     "conv1x1_direct_f32",
     "depthwise_matvec",
-    "winograd_conv3x3",
-    "winograd_filter_transform",
 ]

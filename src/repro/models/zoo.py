@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, List
 
-from ..errors import ReproError
+from ..errors import UnknownNameError
 from ..nn import Graph
 from .alexnet import build_alexnet, build_alexnet_mini
 from .googlenet import build_googlenet, build_googlenet_mini
@@ -137,13 +137,13 @@ def model_info(name: str) -> ModelInfo:
     """Registry metadata for ``name``.
 
     Raises:
-        ReproError: if the model is not registered.
+        UnknownNameError: if the model is not registered.
     """
     try:
         return _REGISTRY[name]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
-        raise ReproError(
+        raise UnknownNameError(
             f"unknown model {name!r}; known models: {known}") from None
 
 

@@ -95,17 +95,6 @@ class Executor:
             (graph, policy, calibration) -- True, the default.  False
             restores the pre-cache behaviour of building a fresh
             computer per run; outputs are byte-identical either way.
-        workers: worker threads for compiled functional execution.
-            ``None`` or 1 keeps the serial loop; > 1 runs compiled
-            programs through a
-            :class:`~repro.compile.parallel.ParallelRuntime` over the
-            program's step DAG -- byte-identical outputs, concurrent
-            cooperative parts and branch paths.  Timing simulation is
-            unaffected.
-        pool: an existing :class:`~repro.runtime.workers.WorkerPool`
-            to share (a serving fleet dispatches all replicas onto one
-            pool); implies parallel compiled execution regardless of
-            ``workers``.
         tuner: a :class:`~repro.tune.Tuner`; when set, every program
             this executor compiles goes through per-step kernel-variant
             autotuning (decisions cached in the tuner's
@@ -124,20 +113,13 @@ class Executor:
 
     def __init__(self, soc: SoCSpec, zero_copy: bool = True,
                  async_issue: bool = True, verify: bool = False,
-                 op_caches: bool = True,
-                 workers: Optional[int] = None,
-                 pool=None, tuner=None) -> None:
+                 op_caches: bool = True, tuner=None) -> None:
         self.soc = soc
         self.zero_copy = zero_copy
         self.async_issue = async_issue
         self.verify = verify
         self.op_caches = op_caches
         self.tuner = tuner
-        self.workers = 1 if workers is None else int(workers)
-        if self.workers < 1:
-            raise PlanError(f"workers must be >= 1, got {workers}")
-        self._pool = pool
-        self._runtime = None
         self._computers: "OrderedDict[Tuple[int, QuantizationPolicy, int], LayerComputer]" = OrderedDict()
         # Compiled programs, memoized with the same identity discipline
         # (and re-validated against weight-array identity on reuse).
@@ -151,29 +133,6 @@ class Executor:
         self.timing_hits = 0
         self.timing_misses = 0
         self.timing_evictions = 0
-
-    def _run_program(self, program, x: np.ndarray) -> Dict[str, Tensor]:
-        """Execute a compiled program, serial or worker-pooled.
-
-        With ``workers == 1`` and no shared pool this is exactly
-        ``program.run(x, keep="all")``; otherwise the program runs on
-        the parallel runtime's step DAG, byte-identical by contract.
-        """
-        if self.workers <= 1 and self._pool is None:
-            return program.run(x, keep="all")
-        if self._runtime is None:
-            # Imported lazily: repro.compile imports the analysis
-            # package, which imports this one.
-            from ..compile import ParallelRuntime
-            self._runtime = ParallelRuntime(self.workers,
-                                            pool=self._pool)
-        return self._runtime.run(program, x, keep="all")
-
-    def close(self) -> None:
-        """Stop any privately owned worker pool (idempotent)."""
-        if self._runtime is not None:
-            self._runtime.close()
-            self._runtime = None
 
     def _computer_for(self, graph: Graph, policy,
                       calibration: Optional[CalibrationTable]
@@ -333,7 +292,7 @@ class Executor:
             run_state.execute()
             result = run_state.result(mechanism)
         if compiled:
-            result.outputs = self._run_program(program, x)
+            result.outputs = program.run(x, keep="all")
         if report is not None:
             self._verify_timeline(graph, plan, result, report)
         return result

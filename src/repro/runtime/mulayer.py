@@ -52,9 +52,6 @@ class MuLayer:
             :class:`~repro.runtime.plan_cache.PlanCache` (the serving
             fleet passes one cache to many runtimes); a private cache
             is created when omitted.
-        workers: worker threads for compiled functional execution
-            (see :class:`~repro.runtime.executor.Executor`); ``None``
-            or 1 keeps the serial loop.
         tuner: a :class:`~repro.tune.Tuner`; when set, compiled
             programs go through per-step kernel-variant autotuning.
     """
@@ -70,7 +67,6 @@ class MuLayer:
                  compiled: bool = False,
                  predictor: Optional[LatencyPredictor] = None,
                  plan_cache: Optional[PlanCache] = None,
-                 workers: Optional[int] = None,
                  tuner=None) -> None:
         self.soc = soc
         self.policy = policy
@@ -85,7 +81,7 @@ class MuLayer:
                                        predictor=predictor)
         self.executor = Executor(soc, zero_copy=zero_copy,
                                  async_issue=async_issue, verify=verify,
-                                 workers=workers, tuner=tuner)
+                                 tuner=tuner)
         self.plan_cache = plan_cache if plan_cache is not None else (
             PlanCache())
 

@@ -32,7 +32,6 @@ from ..runtime import (Executor, InferenceResult, LayerAssignment,
                        uniform_policy)
 from ..runtime.plan import ExecutionPlan
 from ..runtime.plan_cache import PlanCache, PlanKey
-from ..runtime.workers import WorkerPool
 from ..soc import SoCSpec, soc_by_name
 from ..tensor import DType
 from .workload import Request
@@ -104,14 +103,11 @@ class _SoCContext:
     """
 
     def __init__(self, soc: SoCSpec, policy: QuantizationPolicy,
-                 workers: Optional[int] = None,
-                 pool: Optional[WorkerPool] = None,
                  tuner: "Optional[Tuner]" = None) -> None:
         self.soc = soc
         self.policy = policy
         self.partitioner = Partitioner(soc, policy=policy)
-        self.executor = Executor(soc, workers=workers, pool=pool,
-                                 tuner=tuner)
+        self.executor = Executor(soc, tuner=tuner)
         config = PartitionerConfig(enable_channel_distribution=False,
                                    enable_branch_distribution=False)
         self._estimators: Dict[str, Partitioner] = {
@@ -317,12 +313,6 @@ class Fleet:
             (no input data), where compiled and functional execution
             report identical latencies, so this is a passthrough for
             callers that feed the fleet's executors data directly.
-        workers: worker threads for compiled functional execution.
-            With ``workers > 1`` the fleet owns one shared
-            :class:`~repro.runtime.workers.WorkerPool` and every
-            replica's executor dispatches onto it -- replicas share
-            the pool instead of spawning one thread team each.
-            ``None`` or 1 keeps the serial loop.
         tuner: a shared :class:`~repro.tune.Tuner`; when set, every
             program the fleet compiles (including
             :meth:`warm_plans`'s program warming) goes through
@@ -337,7 +327,6 @@ class Fleet:
                  plan_cache: Optional[PlanCache] = None,
                  memoize_results: bool = True,
                  compiled: bool = False,
-                 workers: Optional[int] = None,
                  tuner: "Optional[Tuner]" = None) -> None:
         if not socs:
             raise ValueError("a fleet needs at least one device")
@@ -347,18 +336,12 @@ class Fleet:
         self.memoize_results = memoize_results
         self.compiled = compiled
         self.tuner = tuner
-        self.workers = 1 if workers is None else int(workers)
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self._pool: Optional[WorkerPool] = (
-            WorkerPool(self.workers) if self.workers > 1 else None)
         self._contexts: Dict[str, _SoCContext] = {}
         self.devices: List[Device] = []
         for index, soc in enumerate(socs):
             if soc.name not in self._contexts:
-                self._contexts[soc.name] = _SoCContext(
-                    soc, policy, workers=self.workers, pool=self._pool,
-                    tuner=tuner)
+                self._contexts[soc.name] = _SoCContext(soc, policy,
+                                                       tuner=tuner)
             self.devices.append(
                 Device.make(f"dev{index}:{soc.name}", soc))
         self._graphs: Dict[str, Graph] = {}
@@ -375,7 +358,6 @@ class Fleet:
               plan_cache: Optional[PlanCache] = None,
               memoize_results: bool = True,
               compiled: bool = False,
-              workers: Optional[int] = None,
               tuner: "Optional[Tuner]" = None) -> "Fleet":
         """A fleet of ``num_devices`` cycling through ``soc_names``."""
         if num_devices < 1:
@@ -386,12 +368,7 @@ class Fleet:
         socs = [next(cycle) for _ in range(num_devices)]
         return cls(socs, policy=policy, plan_cache=plan_cache,
                    memoize_results=memoize_results, compiled=compiled,
-                   workers=workers, tuner=tuner)
-
-    def close(self) -> None:
-        """Stop the shared worker pool, if any (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
+                   tuner=tuner)
 
     # -- lookups -------------------------------------------------------------
 

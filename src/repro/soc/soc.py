@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional
 
-from ..errors import SimulationError
+from ..errors import SimulationError, UnknownNameError
 from ..tensor import DType
 from .memory import MemorySpec
 from .processor import ProcessorKind, ProcessorSpec
@@ -235,10 +235,12 @@ def soc_by_name(name: str) -> SoCSpec:
     """Look up a SoC spec by registry name.
 
     Raises:
-        KeyError: if the name is unknown (message lists known SoCs).
+        UnknownNameError: if the name is unknown (message lists known
+            SoCs).
     """
     try:
         return SOCS[name]
     except KeyError:
-        raise KeyError(
-            f"unknown SoC {name!r}; known SoCs: {sorted(SOCS)}") from None
+        known = ", ".join(sorted(SOCS))
+        raise UnknownNameError(
+            f"unknown SoC {name!r}; known SoCs: {known}") from None

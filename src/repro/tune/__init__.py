@@ -4,8 +4,7 @@
 its shape and dtype favor; this package closes the loop for the
 compiled path.  At compile time a :class:`Tuner` microbenchmarks the
 legal lowerings of every step (im2col+GEMM reference, direct 1x1 GEMM,
-depthwise mat-vec, batch-folded float GEMM, shifted-view max pooling,
-and -- opt-in, approximate -- Winograd F(2,3)), byte-checks them
+depthwise mat-vec and batch-folded float GEMM), byte-checks them
 against the reference, and bakes the fastest into the
 :class:`~repro.compile.program.CompiledProgram`.  Decisions persist in
 a versioned, runtime-fingerprinted :class:`TuneCache` so identical

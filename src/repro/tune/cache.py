@@ -11,8 +11,7 @@ processes -- are tuned exactly once.  Records persist as JSON under
   build, CPU architecture, Python version); timings measured under a
   different runtime are meaningless here, so a mismatch discards it;
 * each record stores the candidate set it chose from; offering a
-  different set (new variants landed, ``--allow-approx`` toggled)
-  re-tunes that signature.
+  different set (variants added or removed) re-tunes that signature.
 
 Thread-safe: all mutation happens under one reentrant lock.
 """
@@ -152,8 +151,8 @@ class TuneCache:
         """The stored winning variant, or None when re-tuning is due.
 
         A record only hits when it chose among exactly the candidate
-        set being offered now -- new variants (or a toggled
-        ``allow_approx``) must re-tune.
+        set being offered now -- added or removed variants must
+        re-tune.
         """
         offered = sorted(candidates)
         with self._lock:

@@ -13,21 +13,18 @@ tuner:
    lowering, and **byte-checks** every alternative against it --
    a variant that changes even one output byte is discarded (the
    repo's identity invariant is the acceptance bar, not a tolerance);
-   variants declared *approximate* (Winograd) are only offered under
-   ``allow_approx`` and checked against ``np.allclose`` instead;
 3. times the survivors min-of-repeats
    (:func:`~repro.harness.timing.min_time_ms`, the bench harness's
    estimator) and records the winner.
 
 The tuner is compile-time machinery: once a variant is chosen, the
-compiled step runs it unconditionally and the runtime (serial loop or
-:class:`~repro.compile.parallel.ParallelRuntime`) is none the wiser.
+compiled step runs it unconditionally and the program's serial loop is
+none the wiser.
 """
 
 from __future__ import annotations
 
-from typing import (AbstractSet, Callable, Dict, List, Optional,
-                    Sequence, Tuple)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,10 +34,6 @@ from .cache import TuneCache
 #: A step lowering offered for selection: (variant name, step fn).
 Candidate = Tuple[str, Callable[[List[np.ndarray]], np.ndarray]]
 
-#: Default tolerances for approximate (Winograd) variants.
-_APPROX_RTOL = 1e-3
-_APPROX_ATOL = 1e-4
-
 
 class Tuner:
     """Selects the fastest legal kernel variant per step signature.
@@ -49,11 +42,6 @@ class Tuner:
         cache: the (possibly shared, possibly persistent)
             :class:`TuneCache`; defaults to a fresh in-memory cache.
         repeats: min-of-repeats count per timed variant.
-        allow_approx: offer approximate variants (Winograd F(2,3)),
-            validated by tolerance instead of byte identity.  Off by
-            default -- the identity invariant holds unless the user
-            opts out explicitly.
-        rtol / atol: tolerances for approximate variants.
 
     Attributes:
         timed: signatures actually microbenchmarked (cache misses);
@@ -62,14 +50,9 @@ class Tuner:
     """
 
     def __init__(self, cache: Optional[TuneCache] = None,
-                 repeats: int = 3, allow_approx: bool = False,
-                 rtol: float = _APPROX_RTOL,
-                 atol: float = _APPROX_ATOL) -> None:
+                 repeats: int = 3) -> None:
         self.cache = cache if cache is not None else TuneCache()
         self.repeats = int(repeats)
-        self.allow_approx = bool(allow_approx)
-        self.rtol = float(rtol)
-        self.atol = float(atol)
         self.timed = 0
         self.selections: Dict[str, int] = {}
 
@@ -81,25 +64,15 @@ class Tuner:
         return (out.shape == ref.shape and out.dtype == ref.dtype
                 and out.tobytes() == ref.tobytes())
 
-    def _close(self, out: np.ndarray, ref: np.ndarray) -> bool:
-        if out.shape != ref.shape or out.dtype != ref.dtype:
-            return False
-        return bool(np.allclose(out.astype(np.float64),
-                                ref.astype(np.float64),
-                                rtol=self.rtol, atol=self.atol))
-
     def select(self, signature: str,
                candidates: Sequence[Candidate],
-               make_input: Callable[[], np.ndarray],
-               approx: AbstractSet[str] = frozenset()) -> str:
+               make_input: Callable[[], np.ndarray]) -> str:
         """The variant to bake into the step with this signature.
 
         ``candidates[0]`` is the reference lowering and is never
-        rejected.  Names in ``approx`` are tolerance-checked (and only
-        legal under ``allow_approx``; the compiler must not offer them
-        otherwise); all others must reproduce the reference output
-        byte for byte on the synthesized input or they are discarded
-        before any timing.
+        rejected; every other candidate must reproduce the reference
+        output byte for byte on the synthesized input or it is
+        discarded before any timing.
         """
         if not candidates:
             raise ValueError("select() needs at least one candidate")
@@ -117,9 +90,7 @@ class Tuner:
         reference = np.asarray(ref_fn(inputs))
         survivors: List[Candidate] = [(ref_name, ref_fn)]
         for name, fn in candidates[1:]:
-            out = np.asarray(fn(inputs))
-            check = self._close if name in approx else self._identical
-            if check(out, reference):
+            if self._identical(np.asarray(fn(inputs)), reference):
                 survivors.append((name, fn))
 
         timings: Dict[str, float] = {}

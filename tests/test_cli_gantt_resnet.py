@@ -58,6 +58,39 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["bogus"])
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--model", "nosuch", "--soc", "exynos7420"],
+        ["compare", "--model", "nosuch"],
+        ["verify", "nosuch", "exynos7420"],
+        ["serve", "--models", "nosuch", "--requests", "5"],
+        ["cluster", "--models", "nosuch", "--requests", "5"],
+        ["bench", "--models", "nosuch"],
+    ], ids=lambda argv: argv[0])
+    def test_unknown_model_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "unknown model 'nosuch'; known models: ")
+        assert "vgg_mini" in lines[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--model", "vgg_mini", "--soc", "nosuch"],
+        ["compare", "--model", "vgg_mini", "--soc", "nosuch"],
+        ["verify", "vgg_mini", "nosuch"],
+        ["serve", "--soc", "nosuch", "--requests", "5"],
+        ["cluster", "--pool", "a:nosuch:2", "--requests", "5"],
+    ], ids=lambda argv: argv[0])
+    def test_unknown_soc_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "unknown SoC 'nosuch'; known SoCs: exynos7420, "
+            "exynos7420npu, exynos7880"]
+
 
 class TestGantt:
     def test_renders_two_rows(self):

@@ -178,8 +178,8 @@ class TestPlanCacheConcurrency:
 class TestOperandCacheWeightRaces:
     def test_set_weights_races_tuned_parallel_execution(self, rng):
         """``set_weights`` storms while a *tuned* compiled program
-        runs through the thread-parallel runtime and a cached
-        functional computer keeps inferring.
+        runs on its own thread and a cached functional computer keeps
+        inferring on another.
 
         Three guarantees under the race, same shape as the PlanCache
         hammer above:
@@ -197,7 +197,6 @@ class TestOperandCacheWeightRaces:
           went stale) and the new tuned program is byte-identical to a
           fresh functional run over the final weights.
         """
-        from repro.compile import ParallelRuntime
         from repro.models import build_model
         from repro.nn import calibrate_graph
         from repro.runtime import PROCESSOR_FRIENDLY
@@ -251,15 +250,13 @@ class TestOperandCacheWeightRaces:
         progress = [0, 0]
 
         def tuned_runner():
-            with ParallelRuntime(workers=2) as parallel:
-                while not stop.is_set():
-                    got = parallel.run(old_program, x,
-                                       keep="outputs")[out]
-                    progress[0] += 1
-                    if got.data.tobytes() != old_bytes:
-                        errors.append("tuned program output moved "
-                                      "under weight surgery")
-                        return
+            while not stop.is_set():
+                got = old_program.run(x, keep="outputs")[out]
+                progress[0] += 1
+                if got.data.tobytes() != old_bytes:
+                    errors.append("tuned program output moved under "
+                                  "weight surgery")
+                    return
 
         def functional_runner():
             while not stop.is_set():

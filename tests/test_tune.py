@@ -2,17 +2,15 @@
 
 The tuner's contract has three legs, each pinned here:
 
-* **selection** -- the reference lowering is never rejected, byte
-  divergence disqualifies a variant before any timing, approximate
-  variants are tolerance-checked and only legal when offered as such;
+* **selection** -- the reference lowering is never rejected, and byte
+  divergence disqualifies a variant before any timing;
 * **cache** -- decisions round-trip through the on-disk
   :class:`~repro.tune.TuneCache` (write -> reload -> zero re-timing on
   an identical fingerprint) and self-invalidate when the version,
   runtime fingerprint, or offered candidate set changes;
 * **programs** -- tuned :class:`CompiledProgram`s stay byte-identical
   to their untuned twins across models, policies, and batch sizes,
-  through the serial loop and the thread-parallel runtime alike, and
-  rule PV014 proves every baked variant legal for its step.
+  and rule PV014 proves every baked variant legal for its step.
 """
 
 import dataclasses
@@ -22,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import verify_tuned_variants
-from repro.compile import ParallelRuntime, compile_program
+from repro.compile import compile_program
 from repro.nn import calibrate_graph
 from repro.runtime import (PROCESSOR_FRIENDLY, UNIFORM_F16, UNIFORM_F32,
                            UNIFORM_QUINT8)
@@ -95,26 +93,6 @@ class TestTunerSelect:
         assert tuner.timed == 1
         assert set(tuner.cache.records()["sig"]["ms"]) == {
             "reference", "same"}
-
-    def test_approx_variant_tolerance_checked(self):
-        tuner = Tuner(repeats=1, allow_approx=True)
-        ref, _, close = self._candidates(bias=1e-6)
-        chosen = tuner.select("sig", [ref, close],
-                              lambda: np.ones(4, dtype=np.float32),
-                              approx=frozenset({"wrong"}))
-        # Within tolerance: the approximate candidate survives into
-        # timing instead of being discarded on the changed bytes.
-        assert set(tuner.cache.records()["sig"]["ms"]) == {
-            "reference", "wrong"}
-        assert chosen in ("reference", "wrong")
-
-    def test_approx_beyond_tolerance_is_discarded(self):
-        tuner = Tuner(repeats=1, allow_approx=True)
-        ref, _, far = self._candidates(bias=1.0)
-        chosen = tuner.select("sig", [ref, far],
-                              lambda: np.ones(4, dtype=np.float32),
-                              approx=frozenset({"wrong"}))
-        assert chosen == "reference"
 
     def test_duplicate_names_rejected(self):
         tuner = Tuner()
@@ -189,8 +167,8 @@ class TestTuneCache:
         cache = TuneCache()
         cache.put("sig", "fast", ["fast", "reference"])
         assert cache.get("sig", ["reference", "fast"]) == "fast"
-        # A new variant landed (or --allow-approx toggled): the stored
-        # decision no longer covers the offered set.
+        # A new variant landed: the stored decision no longer covers
+        # the offered set.
         assert cache.get("sig", ["reference", "fast", "new"]) is None
         assert cache.stats() == {"records": 1, "hits": 1, "misses": 1,
                                  "invalidated": 0}
@@ -259,21 +237,6 @@ class TestTunedPrograms:
         assert (tuned.run(x, keep="outputs")[out].data.tobytes()
                 == baseline.run(x, keep="outputs")[out].data.tobytes())
 
-    def test_tuned_program_through_parallel_runtime(
-            self, squeezenet_mini, squeezenet_calibration, rng):
-        plan = _split_plan(squeezenet_mini, PROCESSOR_FRIENDLY)
-        x = _input(squeezenet_mini, rng)
-        tuned = compile_program(squeezenet_mini, plan,
-                                squeezenet_calibration,
-                                tuner=Tuner(repeats=1))
-        serial = {name: tensor.data.tobytes()
-                  for name, tensor in
-                  tuned.run(x, keep="outputs").items()}
-        with ParallelRuntime(workers=2) as runtime:
-            parallel = runtime.run(tuned, x, keep="outputs")
-        assert {name: tensor.data.tobytes()
-                for name, tensor in parallel.items()} == serial
-
     def test_mobilenet_offers_depthwise_variant(self, mobilenet_mini,
                                                 mobilenet_mini_calibration):
         """The depthwise mat-vec lowering is actually offered (and
@@ -288,35 +251,6 @@ class TestTunedPrograms:
             offered.update(record["candidates"])
         assert "matvec" in offered
         assert "direct1x1" in offered
-
-    def test_winograd_requires_allow_approx(self, vgg_mini,
-                                            vgg_mini_calibration, rng):
-        plan = _split_plan(vgg_mini, UNIFORM_F32)
-        strict = Tuner(repeats=1)
-        compile_program(vgg_mini, plan, vgg_mini_calibration,
-                        tuner=strict)
-        for record in strict.cache.records().values():
-            assert "winograd" not in record["candidates"]
-
-        approx = Tuner(repeats=1, allow_approx=True)
-        program = compile_program(vgg_mini, plan, vgg_mini_calibration,
-                                  tuner=approx)
-        offered = set()
-        for record in approx.cache.records().values():
-            offered.update(record["candidates"])
-        assert "winograd" in offered
-        assert program.allow_approx
-        # Whatever won, outputs stay within the tuner's tolerance of
-        # the untuned reference.
-        baseline = compile_program(vgg_mini, plan,
-                                   vgg_mini_calibration)
-        x = _input(vgg_mini, rng)
-        out = vgg_mini.output_layers()[0]
-        expected = baseline.run(x, keep="outputs")[out].data
-        got = program.run(x, keep="outputs")[out].data
-        assert np.allclose(got.astype(np.float64),
-                           expected.astype(np.float64),
-                           rtol=1e-3, atol=1e-4)
 
     def test_describe_reports_variants(self, squeezenet_mini,
                                        squeezenet_calibration):
@@ -398,24 +332,6 @@ class TestVerifyTunedVariantsPV014:
         report = verify_tuned_variants(squeezenet_mini, plan, program)
         assert not report.ok
         assert any(d.rule == "PV014" for d in report.diagnostics)
-
-    def test_winograd_without_allow_approx_flagged(
-            self, vgg_mini, vgg_mini_calibration):
-        plan = _split_plan(vgg_mini, UNIFORM_F32)
-        program = compile_program(vgg_mini, plan, vgg_mini_calibration,
-                                  tuner=Tuner(repeats=1))
-        assert not program.allow_approx
-        index, step = next(
-            (i, s) for i, s in enumerate(program.steps)
-            if s.kind == "conv"
-            and getattr(vgg_mini.layer(s.layer), "kernel", 0) == 3)
-        program.steps = list(program.steps)
-        program.steps[index] = dataclasses.replace(
-            step, variant="winograd")
-        report = verify_tuned_variants(vgg_mini, plan, program)
-        assert not report.ok
-        assert any(d.rule == "PV014" for d in report.diagnostics)
-
 
 class TestExecutorIntegration:
     def test_mulayer_tuner_produces_tuned_cached_program(self, rng):
