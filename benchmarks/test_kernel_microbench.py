@@ -104,16 +104,29 @@ def test_bench_conv1x1_im2col_reference(benchmark, conv_input):
     assert out.shape == (1, 128, 56, 56)
 
 
-def test_bench_depthwise_matvec(benchmark):
-    """The batched mat-vec depthwise contraction vs the einsum it
-    replaces (asserted equal on the same operands)."""
-    from repro.kernels import depthwise_matvec
-    columns = RNG.standard_normal((64, 3136, 9)).astype(np.float32)
-    filters = RNG.standard_normal((64, 9)).astype(np.float32)
-    out = benchmark(depthwise_matvec, columns, filters)
-    assert out.shape == (64, 3136)
-    reference = np.einsum("npk,nk->np", columns, filters)
-    assert np.allclose(out, reference, rtol=1e-5, atol=1e-6)
+@pytest.mark.parametrize(
+    "channels, size, stride",
+    [(32, 112, 1),     # mobilenet conv1/dw
+     (64, 112, 2)],    # mobilenet conv2/dw
+    ids=["conv1_dw", "conv2_dw"])
+def test_bench_depthwise_direct(benchmark, channels, size, stride):
+    """The direct shifted-view integer depthwise kernel on mobilenet's
+    first two depthwise shapes (3x3, padding 1, batch 1), checked byte
+    for byte against im2col + an int64 einsum wrapped to int32."""
+    from repro.kernels import depthwise_direct, pack_depthwise_taps
+    x = RNG.integers(0, 256, (1, channels, size, size)).astype(np.uint8)
+    codes = RNG.integers(0, 256, (channels, 3, 3)).astype(np.uint8)
+    taps = pack_depthwise_taps(codes, 128)
+    bias = RNG.integers(-2 ** 20, 2 ** 20, (channels, 1, 1)
+                        ).astype(np.int32)
+    acc = benchmark(depthwise_direct, x, taps, bias, 3, stride, 1, 3)
+    columns = im2col(x.reshape(channels, 1, size, size), 3, stride, 1,
+                     pad_value=3.0)
+    lhs = columns.astype(np.int64) - 3
+    rhs = codes.reshape(channels, 9).astype(np.int64) - 128
+    want = (np.einsum("npk,nk->np", lhs, rhs, dtype=np.int64)
+            + bias.reshape(channels, 1)).astype(np.int32)
+    assert acc.tobytes() == want.reshape(acc.shape).tobytes()
 
 
 def test_bench_mulayer_planning(benchmark):

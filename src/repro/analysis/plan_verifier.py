@@ -451,7 +451,6 @@ def verify_tuned_variants(graph: Graph, plan: ExecutionPlan,
       has a non-trivial im2col the direct GEMM would skip);
     * ``folded`` only on conv/FC steps at batch > 1 (at batch 1 the
       reference is already a single GEMM call);
-    * ``matvec`` only on depthwise convs;
     * an untuned program carries the reference lowering everywhere.
 
     Returns a report with one PV014 error per violated invariant.
@@ -495,10 +494,6 @@ def verify_tuned_variants(graph: Graph, plan: ExecutionPlan,
                 bad(locus, "folded GEMM at batch "
                     f"{batch!r}; the reference already makes a single "
                     "GEMM call per part at batch 1")
-        elif variant == "matvec":
-            if step.kind != "depthwise_conv":
-                bad(locus, f"matvec on a {step.kind!r} step; it "
-                    "lowers the depthwise per-channel contraction")
         else:
             bad(locus, f"unknown kernel variant {variant!r}")
     return report

@@ -42,7 +42,12 @@ them: slicing, computing, and concatenating channel slices of a
 channel-independent operation is byte-identical to computing it
 unsplit.  Depthwise layers with *mixed* pipelines (the processor-
 friendly policy's CPU integer / GPU F16 split) do lower per part,
-since their parts genuinely differ numerically.
+since their parts genuinely differ numerically.  Integer depthwise
+parts run the direct shifted-view kernel
+(:func:`~repro.kernels.depthwise_direct`) on the input or its channel
+slice and build no im2col columns -- wrapping int32 sums agree with
+the interpreter's in any order; float parts keep im2col + einsum,
+whose summation order the interpreter's bytes pin.
 """
 
 from __future__ import annotations
@@ -55,11 +60,11 @@ import numpy as np
 
 from ..analysis.memory import plan_arena
 from ..errors import PlanError, QuantizationError
-from ..kernels import (conv_output_hw, flatten_filters, im2col,
-                       max_pool, qgemm_fused)
+from ..kernels import (conv_output_hw, depthwise_direct,
+                       flatten_filters, im2col, max_pool,
+                       pack_depthwise_taps, qgemm_fused)
 from ..kernels.qgemm import (EXACT_GEMM_MAX_DEPTH, fused_const_row,
                              quantize_bias)
-from ..kernels.variants import depthwise_matvec
 from ..nn import Graph, LayerKind
 from ..nn.layers import Conv2D, DepthwiseConv2D, FullyConnected, Input
 from ..quant import (dequantize_lut, dequantize_to_half,
@@ -730,38 +735,33 @@ class _Lowering:
             parts_meta = ((parts_meta[0][0], None),)
         columns_builders = self._depthwise_columns_builders(
             layer, x_qparams, in_shape)
-
-        def build(matvec: bool) -> StepFn:
-            parts = [self._depthwise_part(name, layer, resource, rng,
-                                          x_qparams, in_shape,
-                                          matvec=matvec)
-                     for resource, rng in parts_meta]
-            return self._depthwise_fn(parts, columns_builders,
-                                      int(in_shape[1]))
-
-        candidates: List[_StepCandidate] = [
-            ("reference", build(matvec=False))]
-        if self.tuner is not None:
-            # Same per-channel dot products expressed as a batched
-            # mat-vec instead of an einsum contraction: exact on the
-            # integer pipelines (f64/int64 accumulation is a
-            # mathematically determined value either way), byte-checked
-            # on the float ones.
-            candidates.append(("matvec", build(matvec=True)))
-        return self._choose(name, candidates)
+        parts = [self._depthwise_part(name, layer, resource, rng,
+                                      x_qparams, in_shape)
+                 for resource, rng in parts_meta]
+        return (self._depthwise_fn(parts, columns_builders,
+                                   int(in_shape[1])), "reference")
 
     def _depthwise_fn(
-            self, parts: List[Tuple[str, Optional[Tuple[int, int]],
+            self, parts: List[Tuple[Optional[str],
+                                    Optional[Tuple[int, int]],
                                     Callable[[np.ndarray], np.ndarray]]],
             columns_builders: Dict[str, PrepareFn],
             channels_total: int) -> StepFn:
-        """The step fn over one set of depthwise parts."""
+        """The step fn over one set of depthwise parts.
+
+        A part whose column variant is ``None`` (the direct integer
+        kernel) reads the step input itself; the others share one
+        im2col column matrix per variant, built on first use.
+        """
 
         def fn(inputs: List[np.ndarray]) -> np.ndarray:
             (x,) = inputs
             cols_cache: Dict[str, np.ndarray] = {}
             outs = []
             for variant, rng, part in parts:
+                if variant is None:
+                    outs.append(part(x))
+                    continue
                 cols = cols_cache.get(variant)
                 if cols is None:
                     cols = columns_builders[variant](x)
@@ -830,9 +830,8 @@ class _Lowering:
     def _depthwise_part(self, name: str, layer: DepthwiseConv2D,
                         resource: str, rng: Optional[Tuple[int, int]],
                         x_qparams: Optional[QuantParams],
-                        in_shape: Tuple[int, ...],
-                        matvec: bool = False
-                        ) -> Tuple[str, Optional[Tuple[int, int]],
+                        in_shape: Tuple[int, ...]
+                        ) -> Tuple[Optional[str], Optional[Tuple[int, int]],
                                    Callable[[np.ndarray], np.ndarray]]:
         compute = self.policy.compute_dtype(resource)
         total = int(in_shape[1])
@@ -848,56 +847,29 @@ class _Lowering:
         storage_np = self.storage.numpy_dtype
 
         if self.storage is DType.QUINT8 and compute is DType.QUINT8:
-            assert x_qparams is not None
-            weight_codes_full, w_qparams = self.quantized_weights(
+            assert x_qparams is not None and out_qparams is not None
+            weight_codes, w_qparams = self.quantized_weights(
                 layer.weights)
-            weight_codes = weight_codes_full[lo:hi]
-            rhs = (np.tile(weight_codes.reshape(channels, -1),
-                           (batch, 1)).astype(np.int32)
-                   - np.int32(w_qparams.zero_point))
-            # Centered products are bounded by 255^2 per tap, so for
-            # any practical kernel size the einsum is exact in f64
-            # (every partial sum an integer far below 2**53 and the
-            # final value below 2**31) -- same guarantee qgemm_fused
-            # relies on for its dgemm path.
-            kk = rhs.shape[1]
-            exact_f64 = kk <= EXACT_GEMM_MAX_DEPTH
-            rhs_acc = rhs.astype(np.float64) if exact_f64 else rhs
+            taps = pack_depthwise_taps(weight_codes[lo:hi],
+                                       w_qparams.zero_point)
             bias_i32 = quantize_bias(bias, x_qparams.scale,
-                                     w_qparams.scale)
-            assert out_qparams is not None
+                                     w_qparams.scale).reshape(-1, 1, 1)
             mantissa, shift = prepare_requantize(
                 x_qparams.scale, w_qparams.scale, out_qparams)
-            x_zero = np.int32(x_qparams.zero_point)
+            x_zero = x_qparams.zero_point
             zero_code = np.uint8(out_qparams.zero_point)
 
-            def run_int(columns: np.ndarray) -> np.ndarray:
-                if exact_f64:
-                    lhs = columns.astype(np.float64) - float(x_zero)
-                    if matvec:
-                        acc = depthwise_matvec(lhs, rhs_acc).astype(
-                            np.int32)
-                    else:
-                        acc = np.einsum("npk,nk->np", lhs,
-                                        rhs_acc).astype(np.int32)
-                elif matvec:
-                    lhs64 = columns.astype(np.int64) - np.int64(x_zero)
-                    acc = depthwise_matvec(
-                        lhs64, rhs_acc.astype(np.int64)).astype(np.int32)
-                else:
-                    lhs = columns.astype(np.int32) - x_zero
-                    acc = np.einsum("npk,nk->np", lhs, rhs_acc,
-                                    dtype=np.int64).astype(np.int32)
-                acc = acc + np.repeat(np.tile(bias_i32, batch),
-                                      acc.shape[1]).reshape(acc.shape)
+            def run_int(x: np.ndarray) -> np.ndarray:
+                acc = depthwise_direct(x[:, lo:hi], taps, bias_i32,
+                                       layer.kernel, layer.stride,
+                                       layer.padding, x_zero)
                 codes = requantize_prepared(acc, mantissa, shift,
                                             out_qparams)
-                codes = codes.reshape(batch, channels, out_h, out_w)
                 if relu:
-                    codes = np.maximum(codes, zero_code)
+                    np.maximum(codes, zero_code, out=codes)
                 return codes
 
-            return "codes", rng, run_int
+            return None, rng, run_int
 
         # Float compute (uniform float or F16-over-quantized storage).
         half = compute is DType.F16
@@ -921,10 +893,7 @@ class _Lowering:
         def run_float(columns: np.ndarray) -> np.ndarray:
             if table is not None:
                 columns = table[columns]
-            if matvec:
-                out = depthwise_matvec(columns, filters)
-            else:
-                out = np.einsum("npk,nk->np", columns, filters)
+            out = np.einsum("npk,nk->np", columns, filters)
             out = out.reshape(batch, channels, out_h, out_w)
             out = out + bias[None, :, None, None]
             if half:

@@ -1,14 +1,18 @@
-"""Numerical kernels: im2col, float GEMM, quantized GEMM, pooling."""
+"""Numerical kernels: im2col, float GEMM, quantized GEMM, pooling,
+direct depthwise."""
 
+from .depthwise import depthwise_direct, pack_depthwise_taps
 from .gemm import gemm_f16, gemm_f32
 from .im2col import (col2im_shape, conv_output_hw, flatten_filters, im2col)
 from .op_cache import OperandCache
 from .pooling import avg_pool, global_avg_pool, max_pool
 from .qgemm import (fused_const_row, qgemm, qgemm_accumulate, qgemm_fused,
                     quantize_bias)
-from .variants import conv1x1_direct_f32, depthwise_matvec
+from .variants import conv1x1_direct_f32
 
 __all__ = [
+    "depthwise_direct",
+    "pack_depthwise_taps",
     "gemm_f16",
     "gemm_f32",
     "OperandCache",
@@ -25,5 +29,4 @@ __all__ = [
     "qgemm_fused",
     "quantize_bias",
     "conv1x1_direct_f32",
-    "depthwise_matvec",
 ]

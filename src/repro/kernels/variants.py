@@ -6,10 +6,6 @@ times the legal alternatives below per step and bakes the winner into
 the program.  Every function here is a complete drop-in computation
 for one step family:
 
-* :func:`depthwise_matvec` -- the depthwise per-channel contraction as
-  one batched mat-vec instead of an einsum.  Identical on the integer
-  pipelines (both accumulate exactly); float pipelines are subject to
-  the tuner's byte-identity check.
 * :func:`conv1x1_direct_f32` -- a 1x1/stride-1/no-padding convolution
   as a direct GEMM over the NCHW layout, skipping both the im2col
   copy and the NHWC->NCHW output fold.
@@ -22,17 +18,6 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ShapeError
-
-
-def depthwise_matvec(columns: np.ndarray,
-                     filters: np.ndarray) -> np.ndarray:
-    """Per-channel depthwise contraction as one batched mat-vec.
-
-    ``columns`` is ``(batch*channels, patches, k*k)``, ``filters`` is
-    ``(batch*channels, k*k)``; returns ``(batch*channels, patches)``,
-    the same contraction ``einsum("npk,nk->np", ...)`` performs.
-    """
-    return np.matmul(columns, filters[:, :, None])[:, :, 0]
 
 
 def conv1x1_direct_f32(x: np.ndarray, weights: np.ndarray,

@@ -237,19 +237,27 @@ class TestTunedPrograms:
         assert (tuned.run(x, keep="outputs")[out].data.tobytes()
                 == baseline.run(x, keep="outputs")[out].data.tobytes())
 
-    def test_mobilenet_offers_depthwise_variant(self, mobilenet_mini,
-                                                mobilenet_mini_calibration):
-        """The depthwise mat-vec lowering is actually offered (and
-        timed) on a depthwise model -- the tuner's records prove the
-        candidate reached the timing stage."""
+    def test_mobilenet_depthwise_steps_untuned(
+            self, mobilenet_mini, mobilenet_mini_calibration):
+        """Depthwise steps have one lowering (the direct kernel on the
+        integer pipeline), so the tuner never times them: they carry
+        the reference variant and leave no tune record, while the 1x1
+        convs still offer ``direct1x1``."""
         tuner = Tuner(repeats=1)
         plan = _split_plan(mobilenet_mini, PROCESSOR_FRIENDLY)
-        compile_program(mobilenet_mini, plan,
-                        mobilenet_mini_calibration, tuner=tuner)
+        program = compile_program(mobilenet_mini, plan,
+                                  mobilenet_mini_calibration,
+                                  tuner=tuner)
+        depthwise = [s for s in program.steps
+                     if s.kind == "depthwise_conv"]
+        assert depthwise
+        assert all(s.variant == "reference" for s in depthwise)
+        records = tuner.cache.records()
+        assert not any(sig.startswith("depthwise_conv|")
+                       for sig in records)
         offered = set()
-        for record in tuner.cache.records().values():
+        for record in records.values():
             offered.update(record["candidates"])
-        assert "matvec" in offered
         assert "direct1x1" in offered
 
     def test_describe_reports_variants(self, squeezenet_mini,
