@@ -102,8 +102,8 @@ RULES: Dict[str, str] = {
     "MF004": "im2col lowering dominates the footprint: one layer's "
              "transient column matrix exceeds the configured fraction "
              "of DRAM capacity",
-    "MF005": "persistent packed-operand cache occupies more than the "
-             "configured fraction of DRAM capacity",
+    "MF005": "the compiled program's packed operands occupy more than "
+             "the configured fraction of DRAM capacity",
     "MF006": "arena layout inconsistent (overlapping live slots, or an "
              "arena smaller than the live-set peak)",
     # -- SchedulabilityAnalyzer --------------------------------------------

@@ -3,8 +3,8 @@
 Mobile SoCs hand the CPU, GPU, and NPU one shared LPDDR pool
 (:class:`~repro.soc.memory.MemorySpec`), so a plan is only runnable if
 the *sum* of everything resident at once -- weights per processor, the
-persistent packed-operand cache, live activations, and the transient
-im2col column matrices -- fits that pool.  The serving and benchmark
+compiled program's packed operands, live activations, and the
+transient im2col column matrices -- fits that pool.  The serving and benchmark
 harnesses currently discover oversized configurations at simulation
 time; this analyzer proves the property statically from the shapes the
 :class:`~repro.analysis.plan_verifier.PlanVerifier` already checks.
@@ -13,12 +13,13 @@ The analysis walks the graph in topological order:
 
 * every layer output is a buffer, live from its producing step to the
   step of its last consumer (outputs stay live to the end);
-* weights and the packed-operand cache are resident for the whole
-  execution, attributed per processor via the plan's channel shares
-  and the policy's per-processor storage/compute dtypes;
+* weights and the compiled program's packed operands (weights
+  re-packed once, at compile time, in each processor's compute dtype)
+  are resident for the whole execution, attributed per processor via
+  the plan's channel shares and the policy's per-processor
+  storage/compute dtypes;
 * conv/depthwise layers additionally hold their im2col column matrix
-  during their own step (the functional executor's per-inference
-  column cache);
+  during their own step;
 * everything activation-shaped scales with the batch; weights do not.
 
 The same liveness intervals drive :func:`build_arena`: a first-fit
@@ -252,11 +253,11 @@ class FootprintSummary:
         graph_name / soc / batch: the configuration analyzed.
         weight_bytes: resident filter/bias storage summed over
             processors (per-processor storage dtypes applied).
-        packed_bytes: persistent packed-operand cache (weights
-            re-packed in each processor's compute dtype).
+        packed_bytes: the compiled program's packed operands
+            (weights re-packed in each processor's compute dtype).
         activation_peak_bytes: largest live activation set over steps.
         transient_peak_bytes: largest single im2col column matrix.
-        peak_bytes: weights + packed cache + the worst step's live
+        peak_bytes: weights + packed operands + the worst step's live
             activations and transients -- the number checked against
             capacity.
         peak_step: name of the layer at which the peak occurs.
@@ -306,8 +307,8 @@ class MemoryFootprintAnalyzer:
         high_watermark: fraction of capacity above which MF003 warns.
         im2col_fraction: fraction of capacity one layer's transient
             column matrix may occupy before MF004 warns.
-        packed_fraction: fraction of capacity the persistent packed-
-            operand cache may occupy before MF005 warns.
+        packed_fraction: fraction of capacity the compiled program's
+            packed operands may occupy before MF005 warns.
     """
 
     def __init__(self, soc: SoCSpec, high_watermark: float = 0.75,
@@ -490,9 +491,9 @@ class MemoryFootprintAnalyzer:
         if summary.packed_bytes > self.packed_fraction * capacity:
             report.warning(
                 "MF005", locus,
-                f"persistent packed-operand cache of "
-                f"{_mb(summary.packed_bytes)} occupies more than "
-                f"{self.packed_fraction:.0%} of DRAM; bound the cache "
-                "or disable op_caches for this deployment")
+                f"compiled program's packed operands of "
+                f"{_mb(summary.packed_bytes)} occupy more than "
+                f"{self.packed_fraction:.0%} of DRAM; use a smaller "
+                "model or a narrower compute dtype")
         report.extend(self.arena(graph, plan, batch=chosen).validate())
         return report

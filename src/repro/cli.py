@@ -13,13 +13,12 @@ Commands:
 * ``cluster`` -- simulate a cluster of device pools behind a router,
   with replica placement, autoscaling, and trace-driven workloads.
 * ``figure`` -- regenerate one of the paper's figures.
-* ``bench`` -- wall-clock benchmark of functional execution, the
-  compiled fused path, and the sweep harness; writes
-  ``BENCH_e2e.json``.
+* ``bench`` -- wall-clock benchmark of the compiled fused path, the
+  autotuned path, and the sweep harness; writes ``BENCH_e2e.json``.
 
-``run``, ``serve``, and ``verify`` accept ``--compiled`` (run the
-compiled fused execution path / prove it consistent, rule PV012);
-``bench`` times it by default (``--no-compiled`` to skip).
+``run`` and ``verify`` accept ``--compiled`` (run the compiled fused
+execution path / prove it consistent, rule PV012);
+``bench`` always times it.
 ``run``, ``compare``, ``verify``, ``serve``, ``cluster``, and
 ``bench`` all accept ``--json`` for machine-readable output.
 ``verify``, ``figure``, ``serve``, ``cluster``, and ``bench`` accept
@@ -152,22 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--slo-factor", type=float, default=4.0,
                        help="per-model SLO as a multiple of its "
                             "unloaded uLayer latency")
-    serve.add_argument("--compiled", action="store_true",
-                       help="execute functional dispatches through "
-                            "compiled fused programs cached next to "
-                            "their plans (serve dispatches are "
-                            "timing-only, so this exercises the "
-                            "program cache plumbing)")
-    serve.add_argument("--autotune", action="store_true",
-                       help="with --compiled: autotune compiled "
-                            "programs through one shared tuner; plan "
-                            "warming then compiles and tunes each "
-                            "unique (model, soc, batch) program once "
-                            "for the whole fleet")
-    serve.add_argument("--tune-cache", default=None, metavar="PATH",
-                       help="tune-cache file for --autotune (default: "
-                            "~/.cache/repro-tune/cache.json, or "
-                            "$XDG_CACHE_HOME when set)")
     serve.add_argument("--plan-cache-size", type=int, default=None,
                        metavar="N",
                        help="bound the shared plan cache to N entries "
@@ -350,15 +333,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="wall-clock benchmark of functional execution and sweeps")
+        help="wall-clock benchmark of compiled execution and sweeps")
     bench.add_argument("--models", default=None,
                        help="comma-separated models; each entry may "
                             "be a glob over the registered zoo, e.g. "
                             "'*_mini' or 'vgg*' (default: the mini "
-                            "zoo)")
+                            "zoo, plus alexnet in the verify sweep)")
     bench.add_argument("--repeats", type=int, default=3,
-                       help="warm inferences measured per model "
-                            "(default 3)")
+                       help="timed inferences per (model, policy) "
+                            "cell (default 3)")
     bench.add_argument("--jobs", type=int,
                        default=default_cli_jobs(), metavar="N",
                        help="process count for the verify-sweep "
@@ -369,20 +352,13 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(e.g. BENCH_e2e.json)")
     bench.add_argument("--json", action="store_true",
                        help="print the results as JSON")
-    bench.add_argument("--compiled", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="benchmark the compiled fused execution "
-                            "path against the warm functional path "
-                            "and emit the 'compiled' block (default "
-                            "on; --no-compiled skips it)")
     bench.add_argument("--autotune", action=argparse.BooleanOptionalAction,
                        default=True,
                        help="benchmark the autotuned compiled path "
                             "against the untuned compiled baseline "
                             "and emit the 'autotuned' block (fresh "
                             "in-memory tuner, byte-identity asserted; "
-                            "default on; requires --compiled; "
-                            "--no-autotune skips it)")
+                            "default on; --no-autotune skips it)")
     bench.add_argument("--serve-batch", action="store_true",
                        help="run the serving-throughput benchmark "
                             "instead: batch size x arrival rate sweep "
@@ -427,8 +403,8 @@ def _cmd_list_socs() -> int:
 
 
 def _make_tuner(args: argparse.Namespace):
-    """The Tuner the --autotune flags ask for, or None."""
-    if not getattr(args, "autotune", False):
+    """The Tuner ``run --autotune`` asks for, or None."""
+    if not args.autotune:
         return None
     from .tune import TuneCache, Tuner, default_cache_path
     path = (args.tune_cache if args.tune_cache is not None
@@ -705,15 +681,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     soc_names = args.socs or ["exynos7420"]
     models = (args.models.split(",") if args.models
               else list(MINI_MODELS))
-    if args.autotune and not args.compiled:
-        print("serve: --autotune requires --compiled",
-              file=sys.stderr)
-        return 2
     plan_cache = (PlanCache(max_entries=args.plan_cache_size)
                   if args.plan_cache_size is not None else None)
-    tuner = _make_tuner(args)
-    fleet = Fleet.build(soc_names, args.devices, plan_cache=plan_cache,
-                        compiled=args.compiled, tuner=tuner)
+    fleet = Fleet.build(soc_names, args.devices, plan_cache=plan_cache)
     batch_timeout_s = (args.batch_timeout_ms / 1e3
                        if args.batch_timeout_ms is not None else None)
     scheduler = make_scheduler(args.scheduler, max_batch=args.max_batch,
@@ -721,10 +691,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     max_batch = getattr(scheduler, "max_batch", 1)
     if args.jobs is not None:
         fleet.warm_plans(models, jobs=args.jobs,
-                         batches=tuple(range(1, max_batch + 1)),
-                         programs=args.compiled)
-        if tuner is not None:
-            tuner.flush()
+                         batches=tuple(range(1, max_batch + 1)))
     slos = default_slos(fleet, models, slo_factor=args.slo_factor)
     capacity = fleet.capacity_rps(models)
     if args.load is not None:
@@ -797,8 +764,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         payload["executor"] = {
             soc_name: fleet.context(soc_name).executor.stats()
             for soc_name in sorted(set(soc_names))}
-        if tuner is not None:
-            payload["tune_cache"] = tuner.cache.stats()
         print(json.dumps(payload, indent=2))
         return 0
     device_names = ", ".join(d.device_id for d in fleet.devices)
@@ -1090,8 +1055,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(render_serve_batch_bench(results))
         return 0
     results = run_bench(models=models, repeats=args.repeats,
-                        jobs=args.jobs, compiled=args.compiled,
-                        autotune=args.autotune)
+                        jobs=args.jobs, autotune=args.autotune)
     if args.output:
         with open(args.output, "w") as handle:
             json.dump(results, handle, indent=2, sort_keys=True)

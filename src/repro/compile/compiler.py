@@ -33,8 +33,8 @@ channel ranges (:func:`~repro.runtime.distribution.channel_ranges`),
 each on its processor's pipeline, concatenated in channel order --
 exactly :meth:`LayerComputer.run_cooperative_shares`.  The parts of a
 quantized-storage conv share one uint8 code column matrix, which the
-float parts dequantize through a 256-entry table; this mirrors (and
-statically guarantees) the functional path's column-cache sharing.
+float parts dequantize through a 256-entry table -- byte-identical to
+the interpreter, which lowers the columns once per part.
 
 Channel-independent kinds (pooling, ReLU, depthwise with uniform
 pipelines, elementwise) are computed whole even when the plan splits
@@ -201,7 +201,8 @@ class _Lowering:
 
     def quantized_weights(self, weights: np.ndarray
                           ) -> Tuple[np.ndarray, QuantParams]:
-        """Full-filter codes, exactly LayerComputer._quantized_weights."""
+        """Full-filter codes, exactly the interpreter's
+        ``LayerComputer._quantized_weights``."""
         w_qparams = QuantParams.from_array(weights)
         return w_qparams.quantize(weights), w_qparams
 
@@ -353,9 +354,8 @@ class _Lowering:
 
         Under QUInt8 storage every variant derives from the shared
         uint8 code columns -- the float pipelines map them through a
-        256-entry dequantization table, exactly as the functional
-        column cache shares them between a cooperative layer's integer
-        and F16 placements.
+        256-entry dequantization table, as the interpreter's float
+        pipelines do with their own code columns.
         """
         is_conv = isinstance(layer, Conv2D)
         builders: Dict[str, PrepareFn] = {}
@@ -778,7 +778,8 @@ class _Lowering:
                        rng: Optional[Tuple[int, int]],
                        channels_total: int) -> np.ndarray:
         """One placement's channel slice of the full column matrix
-        (LayerComputer._depthwise_columns' slicing, verbatim)."""
+        (bit-exact against lowering the part's channel slice, as the
+        interpreter does: each channel is an independent image)."""
         if rng is None or rng == (0, channels_total):
             return columns
         lo, hi = rng
@@ -880,7 +881,7 @@ class _Lowering:
         if self.storage is DType.QUINT8:
             # The depthwise float lowering dequantizes via
             # Tensor.to_float (f32), optionally rounding through f16 --
-            # LayerComputer._dequant_lut's "f16f"/"f32f" tables.
+            # the interpreter's depthwise dequantization table.
             assert x_qparams is not None
             table = x_qparams.dequantize(np.arange(256, dtype=np.uint8))
             if half:

@@ -17,15 +17,14 @@ order, each carrying
 
 Running a program is byte-identical to running the functional
 :class:`~repro.runtime.executor.Executor` over the same plan -- that
-is the compiled path's acceptance bar, enforced by
-``tests/test_compiled_identity.py`` the same way the operand caches
-are held to ``tests/test_op_caches.py``.
+is the compiled path's acceptance bar, enforced against the uncached
+interpreter by ``tests/test_compiled_identity.py``.
 
 Two run modes:
 
 * ``keep="all"`` returns every layer's output as a fresh tensor --
   the :class:`~repro.runtime.executor.Executor` parity mode, used by
-  the identity tests and by ``Executor.run(..., compiled=True)``
+  the identity tests and by ``Executor.run(..., program=...)``
   (whose result contract includes all layer outputs);
 * ``keep="outputs"`` routes every activation through the pre-planned
   byte arena (:func:`~repro.analysis.memory.plan_arena`) and returns
@@ -39,8 +38,7 @@ Two run modes:
 Programs are immutable with respect to the graph: every weight and
 bias array is captured by reference at compile time, and
 :meth:`CompiledProgram.is_stale` reports identity mismatches so a
-``set_weights`` after surgery/QAT invalidates the program exactly like
-it invalidates the packed-operand caches.
+``set_weights`` after surgery/QAT invalidates the program.
 """
 
 from __future__ import annotations
@@ -167,11 +165,10 @@ class CompiledProgram:
         """True when the program no longer matches ``graph``.
 
         A program is bound to the exact graph object and to the exact
-        weight/bias arrays it packed -- the same identity discipline
-        the :class:`~repro.kernels.op_cache.OperandCache` uses -- so
-        ``set_weights`` (installing new arrays) makes it stale.
-        In-place mutation of the same arrays is invisible here, as it
-        is to the operand caches.
+        weight/bias arrays it packed, so ``set_weights`` (installing
+        new arrays) makes it stale.  In-place mutation of the same
+        arrays is invisible here; recompile after mutating weights in
+        place.
         """
         if graph is not self._graph:
             return True

@@ -1,27 +1,21 @@
-"""Wall-clock benchmark of functional execution and the sweep harness.
+"""Wall-clock benchmark of the compiled path and the sweep harness.
 
-Measures what the operand caches and the process-pool harness actually
-buy, in seconds, and emits the numbers as ``BENCH_e2e.json`` so the
-perf trajectory is tracked across PRs:
+Measures what the compiled fused path, the autotuner and the
+process-pool harness cost, in seconds, and emits the numbers as
+``BENCH_e2e.json`` so the perf trajectory is tracked across PRs:
 
-* **functional** -- end-to-end functional inference per mini-zoo model
-  and policy, *cold* (a fresh uncached :class:`LayerComputer` per
-  inference -- the pre-cache behaviour) versus *warm* (one persistent
-  computer whose packed-operand caches carry across inferences, with
-  cooperative layers sharing im2col columns).  Outputs are checked
-  byte-identical while timing.
-* **compiled** -- the compiled fused path (``repro.compile``) against
-  the warm functional path on every mini-model cell, on the matched
-  0.5-split plan, byte-identity asserted before and after timing.
+* **compiled** -- the compiled fused path (``repro.compile``) on every
+  mini-model cell, on the matched 0.5-split plan, byte-identity
+  against the uncached interpreter asserted before and after timing.
 * **autotuned** -- the autotuned compiled path (``repro.tune``: a
   fresh in-memory tuner per cell, no on-disk state) against the
   untuned compiled baseline, both compiled from the same matched plan
-  and timed back-to-back, byte-identity against the warm functional
-  output asserted before and after timing.  The block records the
-  per-cell speedups, a kernel-variant histogram over all tuned
-  programs, and the geometric-mean speedup CI gates on.
-* **sweep** -- the static verification sweep over the mini zoo, serial
-  versus ``jobs`` processes.
+  and timed back-to-back, byte-identity against the interpreter
+  asserted before and after timing.  The block records the per-cell
+  speedups, a kernel-variant histogram over all tuned programs, and
+  the geometric-mean speedup CI gates on.
+* **sweep** -- the static verification sweep over the benchmarked
+  models, serial versus ``jobs`` processes.
 
 All timings go through :func:`~repro.harness.timing.min_time_ms` --
 run the leg ``repeats`` times, keep the *minimum* (robust to scheduler
@@ -43,14 +37,13 @@ from ..quant.calibrate import CalibrationTable
 from ..runtime.compute import LayerComputer
 from ..runtime.pfq import (PROCESSOR_FRIENDLY, QuantizationPolicy,
                            UNIFORM_F16, UNIFORM_F32, UNIFORM_QUINT8)
-from ..tensor import Tensor
 from .timing import min_time_ms
 
 if TYPE_CHECKING:   # pragma: no cover - typing only (avoids a cycle)
     from ..runtime.plan import ExecutionPlan
 
-#: The policies the functional benchmark exercises, processor-friendly
-#: first (the paper's mechanism).
+#: The policies the benchmark exercises, processor-friendly first (the
+#: paper's mechanism).
 BENCH_POLICIES: Dict[str, QuantizationPolicy] = {
     "pfq": PROCESSOR_FRIENDLY,
     "quint8": UNIFORM_QUINT8,
@@ -58,21 +51,18 @@ BENCH_POLICIES: Dict[str, QuantizationPolicy] = {
     "f32": UNIFORM_F32,
 }
 
-#: Weight-heavy full models added to the default grid under the
-#: quantized policies, where re-packing weights per inference (the
-#: cold path) dominates.  Timed with a single repeat -- AlexNet's cold
-#: leg re-quantizes and re-widens ~61M weights per inference.
-_FULL_MODELS: Dict[str, "tuple[str, ...]"] = {
-    "alexnet": ("pfq", "quint8"),
-}
+#: The default verification-sweep models: the mini zoo plus AlexNet,
+#: the 78-cell workload the committed ``sweep`` baseline was timed on.
+_DEFAULT_SWEEP_MODELS = MINI_MODELS + ("alexnet",)
 
 
-def _run_functional(graph: Graph, computer: LayerComputer,
-                    x: np.ndarray) -> Tensor:
-    """One cooperative functional inference (0.5 CPU/GPU split on every
-    splittable layer -- the configuration that exercises both PFQ
-    pipelines and column sharing)."""
-    computer.begin_inference()
+def _interpreted_output(graph: Graph, calibration: CalibrationTable,
+                        policy: QuantizationPolicy,
+                        x: np.ndarray) -> bytes:
+    """The uncached interpreter's output bytes under the matched
+    0.5-split placements (the reference every timed leg must
+    reproduce)."""
+    computer = LayerComputer(graph, policy, calibration)
     input_name = graph.input_layers()[0]
     values = {input_name: computer.input_tensor(input_name, x)}
     for name in graph.compute_layers():
@@ -81,61 +71,16 @@ def _run_functional(graph: Graph, computer: LayerComputer,
             values[name] = computer.run_cooperative(name, inputs, 0.5)
         else:
             values[name] = computer.run_full(name, inputs, "cpu")
-    return values[graph.output_layers()[0]]
-
-
-def _bench_model_policy(graph: Graph, calibration: CalibrationTable,
-                        policy: QuantizationPolicy, x: np.ndarray,
-                        repeats: int) -> Dict[str, float]:
-    """Cold-vs-warm timing of one (model, policy) cell.
-
-    Every leg is timed per iteration and reported as the *minimum*
-    over ``repeats``: on a shared/noisy machine the min is the only
-    robust estimator of the code's actual cost (means fold scheduler
-    preemptions into the slower leg at random, which is how warm runs
-    used to come out "slower" than cold ones on the tiny mini-model
-    cells).
-    """
-    # Cold: the pre-cache behaviour -- a fresh computer per inference,
-    # no caches, so weights re-quantize and operands re-pack each time;
-    # computer construction is part of the timed region.
-    def cold_inference() -> Tensor:
-        cold_computer = LayerComputer(graph, policy, calibration,
-                                      enable_caches=False)
-        return _run_functional(graph, cold_computer, x)
-
-    cold_ms, reference = min_time_ms(cold_inference, repeats)
-
-    # Warm: one persistent cached computer; the first inference fills
-    # the packed-operand caches and is not timed.
-    computer = LayerComputer(graph, policy, calibration,
-                             enable_caches=True)
-    warmup = _run_functional(graph, computer, x)
-    if warmup.data.tobytes() != reference.data.tobytes():
-        raise AssertionError(
-            "cached execution diverged from uncached output")
-    warm_ms, out = min_time_ms(
-        lambda: _run_functional(graph, computer, x), repeats)
-    if out.data.tobytes() != reference.data.tobytes():
-        raise AssertionError(
-            "warm cached execution diverged from uncached output")
-
-    stats = computer.cache_stats()
-    return {
-        "cold_ms": cold_ms,
-        "warm_ms": warm_ms,
-        "speedup": cold_ms / warm_ms if warm_ms > 0 else float("inf"),
-        "im2col_hit_rate": stats["im2col"]["hit_rate"],
-        "packed_hit_rate": stats["packed"]["hit_rate"],
-    }
+    return values[graph.output_layers()[0]].data.tobytes()
 
 
 def _matched_split_plan(graph: Graph,
                         policy: QuantizationPolicy) -> ExecutionPlan:
-    """The plan equivalent of :func:`_run_functional`'s placements.
+    """The plan equivalent of :func:`_interpreted_output`'s
+    placements.
 
     0.5 CPU/GPU cooperative split on every splittable layer, CPU for
-    the rest -- so the compiled program and the functional leg execute
+    the rest -- so the compiled program and the interpreter execute
     the exact same per-layer pipelines and their outputs can be
     asserted byte-identical.
     """
@@ -153,20 +98,14 @@ def _matched_split_plan(graph: Graph,
 
 def _bench_compiled(graph: Graph, calibration: CalibrationTable,
                     policy: QuantizationPolicy, x: np.ndarray,
-                    repeats: int, warm_ms: float) -> Dict[str, float]:
-    """Compiled-vs-functional timing of one (model, policy) cell.
+                    repeats: int, reference: bytes) -> Dict[str, float]:
+    """Compiled timing of one (model, policy) cell.
 
     Lowers the matched 0.5-split plan, asserts the program's output is
-    byte-identical to the warm functional path, and times steady-state
-    arena runs (min over ``repeats``, like the functional legs).
-    ``warm_ms`` is the cell's warm functional time, the denominator
-    the compiled speedup is quoted against.
+    byte-identical to ``reference`` (the uncached interpreter's), and
+    times steady-state arena runs (min over ``repeats``).
     """
     from ..compile import compile_program
-
-    computer = LayerComputer(graph, policy, calibration,
-                             enable_caches=True)
-    reference = _run_functional(graph, computer, x)
 
     plan = _matched_split_plan(graph, policy)
     compile_ms, program = min_time_ms(
@@ -174,28 +113,25 @@ def _bench_compiled(graph: Graph, calibration: CalibrationTable,
                                 mechanism="bench"), 1)
     output = graph.output_layers()[0]
     out = program.run(x, keep="outputs")[output]
-    if out.data.tobytes() != reference.data.tobytes():
+    if out.data.tobytes() != reference:
         raise AssertionError(
-            "compiled execution diverged from the functional output")
+            "compiled execution diverged from the interpreter output")
     compiled_ms, out = min_time_ms(
         lambda: program.run(x, keep="outputs")[output], repeats)
-    if out.data.tobytes() != reference.data.tobytes():
+    if out.data.tobytes() != reference:
         raise AssertionError(
             "steady-state compiled execution diverged from the "
-            "functional output")
+            "interpreter output")
     return {
         "compile_ms": compile_ms,
-        "warm_ms": warm_ms,
         "compiled_ms": compiled_ms,
-        "speedup": (warm_ms / compiled_ms if compiled_ms > 0
-                    else float("inf")),
         "arena_bytes": float(program.arena.arena_bytes),
     }
 
 
 def _bench_autotuned(graph: Graph, calibration: CalibrationTable,
                      policy: QuantizationPolicy, x: np.ndarray,
-                     repeats: int
+                     repeats: int, reference: bytes
                      ) -> "Tuple[Dict[str, float], Dict[str, int]]":
     """Autotuned-vs-untuned compiled timing of one (model, policy)
     cell.
@@ -203,17 +139,13 @@ def _bench_autotuned(graph: Graph, calibration: CalibrationTable,
     Compiles the matched 0.5-split plan twice -- once untuned, once
     through a fresh in-memory :class:`~repro.tune.Tuner` (no on-disk
     or cross-cell state) -- asserts both programs byte-identical to
-    the warm functional output, and times their steady-state runs
-    back-to-back so the quoted speedup is not polluted by drift
-    between benchmark phases.  Returns the cell and the tuned
-    program's kernel-variant histogram.
+    ``reference`` (the uncached interpreter output), and times their
+    steady-state runs back-to-back so the quoted speedup is not
+    polluted by drift between benchmark phases.  Returns the cell and
+    the tuned program's kernel-variant histogram.
     """
     from ..compile import compile_program
     from ..tune import Tuner
-
-    computer = LayerComputer(graph, policy, calibration,
-                             enable_caches=True)
-    reference = _run_functional(graph, computer, x).data.tobytes()
 
     plan = _matched_split_plan(graph, policy)
     baseline = compile_program(graph, plan, calibration,
@@ -228,7 +160,7 @@ def _bench_autotuned(graph: Graph, calibration: CalibrationTable,
         out = program.run(x, keep="outputs")[output]
         if out.data.tobytes() != reference:
             raise AssertionError(
-                f"{label} execution diverged from the functional "
+                f"{label} execution diverged from the interpreter "
                 "output")
 
     check(baseline, "compiled")
@@ -253,88 +185,59 @@ def _bench_autotuned(graph: Graph, calibration: CalibrationTable,
 def run_bench(models: Optional[Sequence[str]] = None, repeats: int = 3,
               jobs: Optional[int] = None,
               policies: Optional[Sequence[str]] = None,
-              compiled: bool = True,
               autotune: bool = True) -> Dict:
     """The full benchmark; returns a JSON-ready dict.
 
     Args:
-        models: models to time (default: the mini zoo).
+        models: models to time (default: the mini zoo, with
+            ``alexnet`` added to the verification sweep only).  The
+            compiled and autotuned legs run on the minis only; every
+            model joins the verification sweep.
         repeats: timed inferences per (model, policy) cell.
         jobs: process count for the parallel sweep timing; None skips
             the parallel leg (the serial leg always runs).
         policies: policy names from :data:`BENCH_POLICIES` (default:
             all four).
-        compiled: also time the compiled fused path against the warm
-            functional path on every mini-model cell, asserting
-            byte-identity (the ``compiled`` block of the output).
         autotune: also time the autotuned compiled path against the
             untuned compiled baseline on every mini-model cell,
             asserting byte-identity (the ``autotuned`` block of the
-            output); requires ``compiled``.
+            output).
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    if models is not None:
-        chosen = tuple(policies) if policies else tuple(BENCH_POLICIES)
-        grid = [(model, chosen, repeats) for model in models]
-    else:
-        # The default grid: every mini across every policy, plus the
-        # weight-heavy full models under their quantized policies.
-        chosen = tuple(policies) if policies else tuple(BENCH_POLICIES)
-        grid = [(model, chosen, repeats) for model in MINI_MODELS]
-        for model, quant_policies in _FULL_MODELS.items():
-            selected = tuple(p for p in quant_policies
-                             if policies is None or p in policies)
-            if selected:
-                grid.append((model, selected, 1))
+    chosen_models = (tuple(models) if models is not None
+                     else _DEFAULT_SWEEP_MODELS)
+    chosen = tuple(policies) if policies else tuple(BENCH_POLICIES)
     rng = np.random.default_rng(0)
 
-    functional: Dict[str, Dict[str, float]] = {}
     compiled_cells: Dict[str, Dict[str, float]] = {}
     autotuned_cells: Dict[str, Dict[str, float]] = {}
     autotuned_variants: Dict[str, int] = {}
-    cold_total = warm_total = 0.0
-    compiled_warm_total = compiled_total = 0.0
-    sweep_models: List[str] = []
-    for model, model_policies, model_repeats in grid:
-        sweep_models.append(model)
+    for model in chosen_models:
+        # Compiling a full model re-packs its tens of millions of
+        # weights, which belongs to compile time, not to this
+        # smoke-sized benchmark.
+        if model not in MINI_MODELS:
+            continue
         graph = build_model(model, with_weights=True)
         shape = graph.infer_shapes()[graph.input_layers()[0]]
         x = rng.standard_normal(shape).astype(np.float32)
         calibration = calibrate_graph(graph, [x])
-        for policy_name in model_policies:
-            # Mini cells run in single-digit milliseconds, where a
-            # min over 3 samples still flakes on a loaded shared
-            # runner; a floor of 7 stabilizes the minimum without
-            # touching the full models (whose single repeat is the
-            # expensive leg) or the compiled/tuned legs.
-            cell = _bench_model_policy(
-                graph, calibration, BENCH_POLICIES[policy_name], x,
-                max(model_repeats, 7) if model in MINI_MODELS
-                else model_repeats)
-            functional[f"{model}/{policy_name}"] = cell
-            cold_total += cell["cold_ms"]
-            warm_total += cell["warm_ms"]
-            # Compiled leg only on the minis: compiling a full model
-            # re-packs its tens of millions of weights, which belongs
-            # to compile time, not to this smoke-sized benchmark.
-            if compiled and model in MINI_MODELS:
-                ccell = _bench_compiled(
-                    graph, calibration, BENCH_POLICIES[policy_name], x,
-                    model_repeats, cell["warm_ms"])
-                compiled_cells[f"{model}/{policy_name}"] = ccell
-                compiled_warm_total += ccell["warm_ms"]
-                compiled_total += ccell["compiled_ms"]
-                if autotune:
-                    acell, histogram = _bench_autotuned(
-                        graph, calibration,
-                        BENCH_POLICIES[policy_name], x, model_repeats)
-                    autotuned_cells[f"{model}/{policy_name}"] = acell
-                    for variant, count in histogram.items():
-                        autotuned_variants[variant] = (
-                            autotuned_variants.get(variant, 0) + count)
+        for policy_name in chosen:
+            policy = BENCH_POLICIES[policy_name]
+            cell_name = f"{model}/{policy_name}"
+            reference = _interpreted_output(graph, calibration, policy,
+                                            x)
+            compiled_cells[cell_name] = _bench_compiled(
+                graph, calibration, policy, x, repeats, reference)
+            if autotune:
+                acell, histogram = _bench_autotuned(
+                    graph, calibration, policy, x, repeats, reference)
+                autotuned_cells[cell_name] = acell
+                for variant, count in histogram.items():
+                    autotuned_variants[variant] = (
+                        autotuned_variants.get(variant, 0) + count)
 
-    chosen_models = tuple(sweep_models)
     sweep: Dict[str, float] = {}
     from ..analysis.verify import verify_sweep
     t0 = time.perf_counter()
@@ -354,23 +257,15 @@ def run_bench(models: Optional[Sequence[str]] = None, repeats: int = 3,
     results: Dict = {
         "schema": 1,
         "repeats": repeats,
-        "functional": functional,
-        "summary": {
-            "cold_total_ms": cold_total,
-            "warm_total_ms": warm_total,
-            "speedup": (cold_total / warm_total if warm_total > 0
-                        else float("inf")),
-        },
         "sweep": sweep,
     }
     if compiled_cells:
         results["compiled"] = {
             "cells": compiled_cells,
             "summary": {
-                "warm_total_ms": compiled_warm_total,
-                "compiled_total_ms": compiled_total,
-                "speedup": (compiled_warm_total / compiled_total
-                            if compiled_total > 0 else float("inf")),
+                "compiled_total_ms": sum(
+                    cell["compiled_ms"]
+                    for cell in compiled_cells.values()),
             },
         }
     if autotuned_cells:
@@ -635,35 +530,18 @@ def render_fleet_bench(results: Dict) -> str:
 def render_bench(results: Dict) -> str:
     """The benchmark results as a printable table."""
     from .report import format_table
-    rows: List[List] = []
-    for cell_name in sorted(results["functional"]):
-        cell = results["functional"][cell_name]
-        rows.append([cell_name, cell["cold_ms"], cell["warm_ms"],
-                     cell["speedup"], cell["im2col_hit_rate"],
-                     cell["packed_hit_rate"]])
-    text = format_table(
-        ["model/policy", "cold_ms", "warm_ms", "speedup",
-         "im2col_hits", "packed_hits"],
-        rows, title="functional inference, cold vs warm caches")
-    summary = results["summary"]
-    text += (f"\n\ntotal: cold {summary['cold_total_ms']:.1f} ms, "
-             f"warm {summary['warm_total_ms']:.1f} ms, "
-             f"speedup {summary['speedup']:.2f}x")
+    text = ""
     compiled = results.get("compiled")
     if compiled:
-        rows = [[cell_name, cell["compile_ms"], cell["warm_ms"],
-                 cell["compiled_ms"], cell["speedup"]]
-                for cell_name in sorted(compiled["cells"])
-                for cell in [compiled["cells"][cell_name]]]
-        text += "\n\n" + format_table(
-            ["model/policy", "compile_ms", "warm_ms", "compiled_ms",
-             "speedup"],
-            rows, title="compiled fused path vs warm functional")
-        csummary = compiled["summary"]
-        text += (f"\n\ncompiled total: functional warm "
-                 f"{csummary['warm_total_ms']:.1f} ms, compiled "
-                 f"{csummary['compiled_total_ms']:.1f} ms, speedup "
-                 f"{csummary['speedup']:.2f}x")
+        rows: List[List] = [
+            [cell_name, cell["compile_ms"], cell["compiled_ms"]]
+            for cell_name in sorted(compiled["cells"])
+            for cell in [compiled["cells"][cell_name]]]
+        text += format_table(
+            ["model/policy", "compile_ms", "compiled_ms"],
+            rows, title="compiled fused path")
+        text += (f"\n\ncompiled total "
+                 f"{compiled['summary']['compiled_total_ms']:.1f} ms")
     autotuned = results.get("autotuned")
     if autotuned:
         rows = [[cell_name, cell["tune_ms"], cell["compiled_ms"],

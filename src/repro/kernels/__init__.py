@@ -4,7 +4,6 @@ direct depthwise."""
 from .depthwise import depthwise_direct, pack_depthwise_taps
 from .gemm import gemm_f16, gemm_f32
 from .im2col import (col2im_shape, conv_output_hw, flatten_filters, im2col)
-from .op_cache import OperandCache
 from .pooling import avg_pool, global_avg_pool, max_pool
 from .qgemm import (fused_const_row, qgemm, qgemm_accumulate, qgemm_fused,
                     quantize_bias)
@@ -15,7 +14,6 @@ __all__ = [
     "pack_depthwise_taps",
     "gemm_f16",
     "gemm_f32",
-    "OperandCache",
     "col2im_shape",
     "conv_output_hw",
     "flatten_filters",

@@ -13,58 +13,25 @@ is the channel-wise concatenation of the two pipelines' results.
 Non-GEMM layers (pooling, ReLU, concat, ...) are computed identically
 on either processor, which keeps their cooperative split bit-exact.
 
-Performance engineering
------------------------
-
-Two operand caches (both :class:`~repro.kernels.op_cache.OperandCache`)
-remove the redundant numpy work that otherwise dominates functional
-wall clock; they are on by default and can be disabled with
-``enable_caches=False`` for the bit-exactness reference path:
-
-* an **im2col column cache**, keyed ``(layer, "cols", variant)`` and
-  validated against the input array's identity, so the placements of a
-  cooperative layer share one column matrix per numeric variant
-  instead of each re-gathering it.  Under QUInt8 storage *every*
-  pipeline lowers the uint8 codes (variant ``"codes"``): the float
-  pipelines dequantize the shared code columns through a 256-entry
-  lookup table (:func:`~repro.quant.half.dequantize_lut`), which is
-  bit-identical to gathering dequantized data because an elementwise
-  map commutes with an index gather and the table maps the integer
-  pipeline's zero-point padding to exactly 0.0.  A cooperative PFQ
-  layer therefore gathers its columns once for both the CPU's integer
-  GEMM and the GPU's F16 GEMM.  Float storage keeps per-dtype variants
-  (``"f16"``/``"f32"``).  Depthwise layers cache the *full-input*
-  columns once and hand each placement its channel slice.  The cache
-  is bounded (LRU) and cleared by :meth:`begin_inference`.
-
-* a persistent **packed-operand cache**, keyed
-  ``(layer, kind, channel_range, ...)`` and validated against the
-  weight/bias array identity, holding the flattened/transposed filter
-  matrices, the f16 filter casts, and -- for QUInt8 compute -- the
-  pre-quantized codes, the int32-widened GEMM operand, the weight-side
-  column sums ``sum_k qr`` of the gemmlowp identity, and the
-  accumulator-domain bias.  Entries invalidate automatically when a
-  layer's weight *array object* is replaced (``set_weights`` after
-  surgery/QAT); in-place mutation of the same array requires an
-  explicit :meth:`invalidate_weights`.
-
-Cached execution is byte-identical to the uncached path: every cached
-artifact is either built by exactly the same expression the uncached
-path evaluates, or differs only by operations that commute bit-exactly
-(elementwise casts/dequantization versus index gathers and slices).
-``tests/test_op_caches.py`` verifies this across the model zoo and all
-policies.
+The computer is the **uncached reference oracle**: every call computes
+its operands from scratch -- weights are re-quantized, filters
+re-packed and inputs re-lowered through ``im2col`` per placement --
+so its outputs depend on nothing but the graph's current arrays, the
+policy and the calibration table.  Fast execution is the compiled
+program's job (:mod:`repro.compile`), which packs every operand once
+at compile time and is held byte-identical to this interpreter by
+``tests/test_compiled_identity.py``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import PlanError, QuantizationError
-from ..kernels import (OperandCache, conv_output_hw, flatten_filters,
-                       gemm_f16, im2col, qgemm)
+from ..kernels import (conv_output_hw, flatten_filters, gemm_f16,
+                       im2col, max_pool, qgemm)
 from ..nn import Graph, LayerKind
 from ..nn.layers import (Conv2D, DepthwiseConv2D, FullyConnected)
 from ..kernels.qgemm import quantize_bias
@@ -81,22 +48,6 @@ _PLACEMENT_INVARIANT_KINDS = frozenset({
     LayerKind.FLATTEN,
 })
 
-#: LRU bound of the activation-side column cache: large enough for all
-#: placements of the layers currently in flight, small enough that the
-#: column matrices of a deep network never accumulate.
-_COLUMN_CACHE_ENTRIES = 8
-
-#: LRU bound of the weight-side packed-operand cache (entries, not
-#: bytes; the int32-widened integer operands are the largest at 4x the
-#: weight footprint of their layer).
-_PACKED_CACHE_ENTRIES = 512
-
-
-def _int_rhs(rhs_codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The int32-widened GEMM operand and its column sums."""
-    rhs_i32 = rhs_codes.astype(np.int32)
-    return rhs_i32, rhs_i32.sum(axis=0, keepdims=True)
-
 
 class LayerComputer:
     """Computes layer outputs under one quantization policy.
@@ -106,15 +57,10 @@ class LayerComputer:
         policy: data types per processor and storage.
         calibration: per-layer activation ranges (required when the
             policy stores activations as QUInt8).
-        enable_caches: use the im2col / packed-operand caches (True,
-            the default); False computes every operand from scratch on
-            every call -- the reference path the cache bit-exactness
-            tests compare against.
     """
 
     def __init__(self, graph: Graph, policy: QuantizationPolicy,
-                 calibration: Optional[CalibrationTable] = None,
-                 enable_caches: bool = True) -> None:
+                 calibration: Optional[CalibrationTable] = None) -> None:
         if policy.is_quantized and calibration is None:
             raise QuantizationError(
                 "QUInt8 activation storage requires a calibration table "
@@ -122,11 +68,6 @@ class LayerComputer:
         self._graph = graph
         self._policy = policy
         self._calibration = calibration
-        self._enable_caches = enable_caches
-        self._columns = OperandCache(
-            name="im2col", max_entries=_COLUMN_CACHE_ENTRIES)
-        self._packed = OperandCache(
-            name="packed", max_entries=_PACKED_CACHE_ENTRIES)
         # Shape memo: Graph.infer_shapes() returns a fresh dict copy on
         # every call, which turns the per-layer channel lookups of a
         # cooperative run into O(layers^2) dict copies.  A computer is
@@ -135,36 +76,6 @@ class LayerComputer:
         self._shapes: "Optional[Dict[str, Tuple[int, ...]]]" = None
 
     # -- public API ---------------------------------------------------------
-
-    def begin_inference(self) -> None:
-        """Drop activation-derived cache state before a new inference.
-
-        Only the column cache is cleared -- its entries are keyed to
-        the previous inference's activation arrays and can never hit
-        again; releasing them bounds memory.  Packed weight operands
-        persist across inferences (that is their point).
-        """
-        self._columns.clear()
-
-    def invalidate_weights(self, name: Optional[str] = None) -> None:
-        """Drop packed operands derived from weights.
-
-        Needed only after *in-place* mutation of a layer's weight or
-        bias arrays (``layer.weights *= 2``); installing new arrays via
-        ``set_weights`` is detected automatically by array identity.
-
-        Args:
-            name: a single layer to invalidate, or None for all.
-        """
-        if name is None:
-            self._packed.invalidate()
-        else:
-            self._packed.invalidate(name)
-
-    def cache_stats(self) -> Dict[str, Dict[str, float]]:
-        """Hit/miss counters of both operand caches."""
-        return {"im2col": self._columns.stats(),
-                "packed": self._packed.stats()}
 
     def input_tensor(self, layer_name: str, data: np.ndarray) -> Tensor:
         """Convert external input data into storage representation."""
@@ -244,57 +155,16 @@ class LayerComputer:
         shape = self._shape_of(name)
         return shape[1]
 
-    def _dequant_lut(self, name: str, qparams: QuantParams,
-                     variant: str) -> np.ndarray:
-        """The 256-entry code->real table one float pipeline applies to
-        shared uint8 columns; cached per (layer, variant, qparams)."""
-
-        def build() -> np.ndarray:
-            lut = dequantize_lut(qparams)
-            if variant == "half":
-                return lut
-            if variant == "half_f32":
-                return lut.astype(np.float32)
-            # Depthwise float lowering dequantizes via Tensor.to_float
-            # (f32), optionally rounding through f16 -- replicate that
-            # exact elementwise map.
-            table = qparams.dequantize(np.arange(256, dtype=np.uint8))
-            if variant == "f16f":
-                table = table.astype(np.float16).astype(np.float32)
-            return table
-
-        return self._packed_operand(
-            (name, "deq_lut", variant, qparams.scale, qparams.zero_point),
-            None, build)
-
     def _out_qparams(self, name: str) -> QuantParams:
         assert self._calibration is not None
         return self._calibration.get(name)
 
-    def _cached_columns(self, name: str, variant: str, source: Any,
-                        builder: Callable[[], np.ndarray]) -> np.ndarray:
-        """im2col columns shared across placements of one layer."""
-        if not self._enable_caches:
-            return builder()
-        return self._columns.get((name, "cols", variant), source, builder)
-
-    def _packed_operand(self, key: Hashable, source: Any,
-                        builder: Callable[[], Any]) -> Any:
-        if not self._enable_caches:
-            return builder()
-        return self._packed.get(key, source, builder)
-
-    def _quantized_weights(self, name: str, weights: np.ndarray
+    @staticmethod
+    def _quantized_weights(weights: np.ndarray
                            ) -> Tuple[np.ndarray, QuantParams]:
-        """Quantized filter codes, cached per layer and validated
-        against the weight array's identity so surgery/QAT weight
-        updates can never serve stale codes."""
-
-        def build() -> Tuple[np.ndarray, QuantParams]:
-            qparams = QuantParams.from_array(weights)
-            return (qparams.quantize(weights), qparams)
-
-        return self._packed.get((name, "wcodes"), weights, build)
+        """Quantized filter codes of the layer's current weights."""
+        qparams = QuantParams.from_array(weights)
+        return qparams.quantize(weights), qparams
 
     def _store(self, name: str, values: np.ndarray) -> Tensor:
         """Pack float results into the storage representation."""
@@ -349,7 +219,7 @@ class LayerComputer:
                       weights: np.ndarray, bias: np.ndarray,
                       channel_range: Optional[Tuple[int, int]]) -> Tensor:
         """CPU path: gemmlowp-style integer GEMM (Figure 9a)."""
-        weight_codes, w_qparams = self._quantized_weights(name, weights)
+        weight_codes, w_qparams = self._quantized_weights(weights)
         bias_slice = bias
         if channel_range is not None:
             lo, hi = channel_range
@@ -357,12 +227,10 @@ class LayerComputer:
             bias_slice = bias[lo:hi]
         assert x.qparams is not None
         x_qparams = x.qparams
-        pad = float(x_qparams.zero_point)
         if isinstance(layer, Conv2D):
-            columns = self._cached_columns(
-                name, "codes", x.data,
-                lambda: im2col(x.data, layer.kernel, layer.stride,
-                               layer.padding, pad_value=pad))
+            columns = im2col(x.data, layer.kernel, layer.stride,
+                             layer.padding,
+                             pad_value=float(x_qparams.zero_point))
             lhs = columns.reshape(-1, columns.shape[-1])
             rhs = flatten_filters(weight_codes).T
             shape = self._conv_out_shape(layer, x.data,
@@ -371,22 +239,9 @@ class LayerComputer:
             lhs = x.data
             rhs = weight_codes.T
             shape = (x.data.shape[0], weight_codes.shape[0])
-        if self._enable_caches:
-            rhs_i32, rhs_sums = self._packed_operand(
-                (name, "rhs_int", channel_range), weights,
-                lambda: _int_rhs(rhs))
-            bias_i32 = self._packed_operand(
-                (name, "bias_i32", channel_range, x_qparams.scale,
-                 w_qparams.scale), bias,
-                lambda: quantize_bias(bias_slice, x_qparams.scale,
-                                      w_qparams.scale))
-        else:
-            rhs_i32 = rhs_sums = bias_i32 = None
         out_qparams = self._out_qparams(name)
         out_rows = qgemm(lhs, x_qparams, rhs, w_qparams, out_qparams,
-                         bias=bias_slice, relu=layer.relu,
-                         rhs_i32=rhs_i32, rhs_sums=rhs_sums,
-                         bias_i32=bias_i32)
+                         bias=bias_slice, relu=layer.relu)
         folded = self._fold_gemm_output(out_rows, shape)
         return Tensor(folded, DType.QUINT8, out_qparams)
 
@@ -403,50 +258,31 @@ class LayerComputer:
             bias_slice = bias[lo:hi]
         assert x.qparams is not None
         x_qparams = x.qparams
-        # Conv layers gather the *uint8 code* columns (shared with the
-        # integer pipeline of a cooperative PFQ layer) and dequantize
+        # Conv layers gather the *uint8 code* columns and dequantize
         # them through a lookup table -- bit-identical to gathering the
         # dequantized input, since the elementwise map commutes with
         # the gather and lut[zero_point] == 0.0 matches the float
-        # pipeline's zero padding.
-        pad = float(x_qparams.zero_point)
+        # pipeline's zero padding.  The compiled program shares one
+        # code column matrix between a cooperative layer's pipelines.
+        lut = dequantize_lut(x_qparams)
+        if compute_dtype is not DType.F16:   # F32 over quantized storage
+            lut = lut.astype(np.float32)
+        if isinstance(layer, Conv2D):
+            codes = im2col(x.data, layer.kernel, layer.stride,
+                           layer.padding,
+                           pad_value=float(x_qparams.zero_point))
+            lhs: np.ndarray = lut[codes].reshape(-1, codes.shape[-1])
+            rhs = flatten_filters(weights_slice).T
+            shape = self._conv_out_shape(layer, x.data,
+                                         weights_slice.shape[0])
+        else:
+            lhs = dequantize_to_half(x.data, x_qparams).astype(lut.dtype)
+            rhs = weights_slice.T
+            shape = (x.data.shape[0], weights_slice.shape[0])
         if compute_dtype is DType.F16:
-            if isinstance(layer, Conv2D):
-                codes = self._cached_columns(
-                    name, "codes", x.data,
-                    lambda: im2col(x.data, layer.kernel, layer.stride,
-                                   layer.padding, pad_value=pad))
-                lut = self._dequant_lut(name, x_qparams, "half")
-                lhs: np.ndarray = lut[codes].reshape(-1, codes.shape[-1])
-                rhs16 = self._packed_operand(
-                    (name, "rhs_f16oq", channel_range), weights,
-                    lambda: flatten_filters(weights_slice).T.astype(
-                        np.float16))
-                shape = self._conv_out_shape(layer, x.data,
-                                             weights_slice.shape[0])
-            else:
-                lhs = dequantize_to_half(x.data, x_qparams)
-                rhs16 = self._packed_operand(
-                    (name, "rhs_f16oq", channel_range), weights,
-                    lambda: weights_slice.T.astype(np.float16))
-                shape = (x.data.shape[0], weights_slice.shape[0])
-            out_rows = gemm_f16(lhs, rhs16, bias_slice).astype(np.float32)
-        else:  # F32 compute over quantized storage
-            if isinstance(layer, Conv2D):
-                codes = self._cached_columns(
-                    name, "codes", x.data,
-                    lambda: im2col(x.data, layer.kernel, layer.stride,
-                                   layer.padding, pad_value=pad))
-                lut = self._dequant_lut(name, x_qparams, "half_f32")
-                lhs = lut[codes].reshape(-1, codes.shape[-1])
-                rhs = flatten_filters(weights_slice).T
-                shape = self._conv_out_shape(layer, x.data,
-                                             weights_slice.shape[0])
-            else:
-                lhs = dequantize_to_half(x.data, x_qparams).astype(
-                    np.float32)
-                rhs = weights_slice.T
-                shape = (x.data.shape[0], weights_slice.shape[0])
+            out_rows = gemm_f16(lhs, rhs.astype(np.float16),
+                                bias_slice).astype(np.float32)
+        else:
             out_rows = lhs @ rhs + bias_slice
         if layer.relu:
             out_rows = np.maximum(out_rows, 0.0)
@@ -465,42 +301,25 @@ class LayerComputer:
             lo, hi = channel_range
             weights_slice = weights[lo:hi]
             bias_slice = bias[lo:hi]
-        if compute_dtype is DType.F16:
-            if isinstance(layer, Conv2D):
-                columns = self._cached_columns(
-                    name, "f16", x.data,
-                    lambda: im2col(x.to_float().astype(np.float16),
-                                   layer.kernel, layer.stride,
-                                   layer.padding, pad_value=0.0))
-                lhs: np.ndarray = columns.reshape(-1, columns.shape[-1])
-                rhs = self._packed_operand(
-                    (name, "rhs_f16", channel_range), weights,
-                    lambda: flatten_filters(
-                        weights_slice.astype(np.float16)).T)
-                shape = self._conv_out_shape(layer, x.data,
-                                             weights_slice.shape[0])
-            else:
-                lhs = x.to_float().astype(np.float16)
-                rhs = self._packed_operand(
-                    (name, "rhs_f16", channel_range), weights,
-                    lambda: weights_slice.astype(np.float16).T)
-                shape = (x.data.shape[0], weights_slice.shape[0])
+        half = compute_dtype is DType.F16
+        values = x.to_float()
+        if half:
+            values = values.astype(np.float16)
+            weights_slice = weights_slice.astype(np.float16)
+        if isinstance(layer, Conv2D):
+            columns = im2col(values, layer.kernel, layer.stride,
+                             layer.padding, pad_value=0.0)
+            lhs = columns.reshape(-1, columns.shape[-1])
+            rhs = flatten_filters(weights_slice).T
+            shape = self._conv_out_shape(layer, x.data,
+                                         weights_slice.shape[0])
+        else:
+            lhs = values
+            rhs = weights_slice.T
+            shape = (x.data.shape[0], weights_slice.shape[0])
+        if half:
             out_rows = gemm_f16(lhs, rhs, bias_slice).astype(np.float32)
         else:
-            if isinstance(layer, Conv2D):
-                columns = self._cached_columns(
-                    name, "f32", x.data,
-                    lambda: im2col(x.to_float(), layer.kernel,
-                                   layer.stride, layer.padding,
-                                   pad_value=0.0))
-                lhs = columns.reshape(-1, columns.shape[-1])
-                rhs = flatten_filters(weights_slice).T
-                shape = self._conv_out_shape(layer, x.data,
-                                             weights_slice.shape[0])
-            else:
-                lhs = x.to_float()
-                rhs = weights_slice.T
-                shape = (x.data.shape[0], weights_slice.shape[0])
             out_rows = lhs @ rhs + bias_slice
         if layer.relu:
             out_rows = np.maximum(out_rows, 0.0)
@@ -525,141 +344,84 @@ class LayerComputer:
         compute_dtype = self._policy.compute_dtype(resource)
         storage = self._policy.activation_storage
         if storage is DType.QUINT8 and compute_dtype is DType.QUINT8:
-            return self._depthwise_integer(name, layer, x, x_slice,
-                                           weights, bias, lo, hi)
+            return self._depthwise_integer(name, layer, x_slice, weights,
+                                           bias, lo)
         # Float compute (uniform float, or F16-over-quantized).
-        out = self._depthwise_float(name, layer, x, x_slice, weights,
-                                    bias, compute_dtype, lo, hi)
+        out = self._depthwise_float(layer, x_slice, weights, bias,
+                                    compute_dtype)
         if storage is DType.QUINT8:
             out_qparams = self._out_qparams(name)
             return Tensor(out_qparams.quantize(out), DType.QUINT8,
                           out_qparams)
         return self._store(name, out)
 
-    def _depthwise_columns(self, name: str, layer: DepthwiseConv2D,
-                           x: Tensor, variant: str,
-                           full_builder: Callable[[], np.ndarray],
-                           slice_builder: Callable[[], np.ndarray],
-                           lo: int, hi: int) -> np.ndarray:
-        """Per-channel patch columns of a depthwise conv placement.
+    @staticmethod
+    def _depthwise_columns(layer: DepthwiseConv2D, values: np.ndarray,
+                           pad: float = 0.0) -> np.ndarray:
+        """Per-channel patch columns: every channel lowered as an
+        independent single-channel image."""
+        n, c, in_h, in_w = values.shape
+        return im2col(values.reshape(n * c, 1, in_h, in_w), layer.kernel,
+                      layer.stride, layer.padding, pad_value=pad)
 
-        With caching on, the columns of the *full* input are built once
-        and every placement takes its channel slice (each channel is an
-        independent single-channel image, so slicing the full column
-        matrix is bit-exact against lowering the sliced input); with
-        caching off, each placement lowers its own input slice exactly
-        as before.
-        """
-        if not self._enable_caches:
-            return slice_builder()
-        columns_full = self._columns.get((name, "cols", variant),
-                                         x.data, full_builder)
-        batch, channels = x.shape[0], x.shape[1]
-        if (lo, hi) == (0, channels):
-            return columns_full
-        patches, kk = columns_full.shape[1], columns_full.shape[2]
-        view = columns_full.reshape(batch, channels, patches, kk)[:, lo:hi]
-        return np.ascontiguousarray(view).reshape(
-            batch * (hi - lo), patches, kk)
-
-    def _depthwise_float(self, name: str, layer: DepthwiseConv2D,
-                         x: Tensor, x_slice: Tensor, weights: np.ndarray,
-                         bias: np.ndarray, compute_dtype: DType,
-                         lo: int, hi: int) -> np.ndarray:
-        batch, channels, in_h, in_w = x_slice.shape
-        variant = "f16f" if compute_dtype is DType.F16 else "f32f"
-
+    def _depthwise_float(self, layer: DepthwiseConv2D, x: Tensor,
+                         weights: np.ndarray, bias: np.ndarray,
+                         compute_dtype: DType) -> np.ndarray:
+        batch, channels, in_h, in_w = x.shape
+        half = compute_dtype is DType.F16
         if x.dtype is DType.QUINT8:
-            # Quantized storage: gather the uint8 code columns (shared
-            # with a cooperative layer's integer placements) and
-            # dequantize through the per-variant lookup table; the
-            # table maps the zero-point padding to exactly 0.0, the
-            # float lowering's padding.
+            # Quantized storage: gather the uint8 code columns and
+            # dequantize through a table of Tensor.to_float's (f32)
+            # values, optionally rounded through f16; the table maps
+            # the zero-point padding to exactly 0.0, the float
+            # lowering's padding.
             assert x.qparams is not None
-            x_qparams = x.qparams
-            pad = float(x_qparams.zero_point)
-
-            def lower_codes(tensor: Tensor) -> np.ndarray:
-                n, c = tensor.shape[0], tensor.shape[1]
-                return im2col(tensor.data.reshape(n * c, 1, in_h, in_w),
-                              layer.kernel, layer.stride, layer.padding,
-                              pad_value=pad)
-
-            codes = self._depthwise_columns(
-                name, layer, x, "codes",
-                lambda: lower_codes(x), lambda: lower_codes(x_slice),
-                lo, hi)
-            lut = self._dequant_lut(name, x_qparams, variant)
-            columns = lut[codes]
+            table = x.qparams.dequantize(np.arange(256, dtype=np.uint8))
+            if half:
+                table = table.astype(np.float16).astype(np.float32)
+            columns = table[self._depthwise_columns(
+                layer, x.data, float(x.qparams.zero_point))]
         else:
-            def lower(tensor: Tensor) -> np.ndarray:
-                values = tensor.to_float()
-                if compute_dtype is DType.F16:
-                    values = values.astype(np.float16).astype(np.float32)
-                n, c = tensor.shape[0], tensor.shape[1]
-                return im2col(values.reshape(n * c, 1, in_h, in_w),
-                              layer.kernel, layer.stride, layer.padding)
-
-            columns = self._depthwise_columns(
-                name, layer, x, variant,
-                lambda: lower(x), lambda: lower(x_slice), lo, hi)
-
-        def pack_filters() -> np.ndarray:
-            w = weights
-            if compute_dtype is DType.F16:
-                w = w.astype(np.float16).astype(np.float32)
-            return np.tile(w.reshape(channels, -1), (batch, 1))
-
-        filters = self._packed_operand(
-            (name, "dw_filters", variant, (lo, hi), batch),
-            layer.weights, pack_filters)
+            values = x.to_float()
+            if half:
+                values = values.astype(np.float16).astype(np.float32)
+            columns = self._depthwise_columns(layer, values)
+        w = weights
+        if half:
+            w = w.astype(np.float16).astype(np.float32)
+        filters = np.tile(w.reshape(channels, -1), (batch, 1))
         out = np.einsum("npk,nk->np", columns, filters)
         out_h, out_w = conv_output_hw(in_h, in_w, layer.kernel,
                                       layer.stride, layer.padding)
         out = out.reshape(batch, channels, out_h, out_w)
         out = out + bias[None, :, None, None]
-        if compute_dtype is DType.F16:
+        if half:
             out = out.astype(np.float16).astype(np.float32)
         if layer.relu:
             out = np.maximum(out, 0.0)
         return out.astype(np.float32)
 
     def _depthwise_integer(self, name: str, layer: DepthwiseConv2D,
-                           x: Tensor, x_slice: Tensor,
-                           weights: np.ndarray, bias: np.ndarray,
-                           lo: int, hi: int) -> Tensor:
+                           x: Tensor, weights: np.ndarray,
+                           bias: np.ndarray, lo: int) -> Tensor:
         """Integer depthwise conv with i32 accumulation + requantize."""
         weight_codes_full, w_qparams = self._quantized_weights(
-            name, layer.weights)
+            layer.weights)
         channels = weights.shape[0]
         weight_codes = weight_codes_full[lo:lo + channels]
-        assert x_slice.qparams is not None
-        x_qparams = x_slice.qparams
-        batch = x_slice.shape[0]
-        in_h, in_w = x_slice.shape[2], x_slice.shape[3]
-        pad = float(x_qparams.zero_point)
-
-        def lower(tensor: Tensor) -> np.ndarray:
-            n, c = tensor.shape[0], tensor.shape[1]
-            return im2col(tensor.data.reshape(n * c, 1, in_h, in_w),
-                          layer.kernel, layer.stride, layer.padding,
-                          pad_value=pad)
-
-        columns = self._depthwise_columns(
-            name, layer, x, "codes",
-            lambda: lower(x), lambda: lower(x_slice), lo, hi)
+        assert x.qparams is not None
+        x_qparams = x.qparams
+        batch = x.shape[0]
+        in_h, in_w = x.shape[2], x.shape[3]
+        columns = self._depthwise_columns(layer, x.data,
+                                          float(x_qparams.zero_point))
         lhs = columns.astype(np.int32) - np.int32(x_qparams.zero_point)
-        rhs = self._packed_operand(
-            (name, "dw_rhs_i32", (lo, hi), batch), layer.weights,
-            lambda: (np.tile(weight_codes.reshape(channels, -1),
-                             (batch, 1)).astype(np.int32)
-                     - np.int32(w_qparams.zero_point)))
+        rhs = (np.tile(weight_codes.reshape(channels, -1),
+                       (batch, 1)).astype(np.int32)
+               - np.int32(w_qparams.zero_point))
         acc = np.einsum("npk,nk->np", lhs, rhs, dtype=np.int64)
         acc = acc.astype(np.int32)
-        bias_i32 = self._packed_operand(
-            (name, "dw_bias_i32", (lo, hi), x_qparams.scale,
-             w_qparams.scale), layer.bias,
-            lambda: quantize_bias(bias, x_qparams.scale, w_qparams.scale))
+        bias_i32 = quantize_bias(bias, x_qparams.scale, w_qparams.scale)
         acc = acc + np.repeat(
             np.tile(bias_i32, batch), acc.shape[1]).reshape(acc.shape)
         out_h, out_w = conv_output_hw(in_h, in_w, layer.kernel,
@@ -693,7 +455,6 @@ class LayerComputer:
             # Max of codes == max of reals (monotone map); parameters
             # pass through unchanged, as in TFLite.
             (x,) = inputs
-            from ..kernels import max_pool
             codes = max_pool(x.data, layer.kernel, layer.stride,
                              layer.padding)
             return Tensor(codes.astype(np.uint8), DType.QUINT8, x.qparams)

@@ -26,28 +26,32 @@ hardware -- so a request's numbers never depend on what it was batched
 with (numpy's BLAS would otherwise leak the batch shape into float
 results through its blocking heuristics).
 
-``run(..., compiled=True)`` swaps the per-layer functional
+``run(..., program=...)`` swaps the per-layer functional
 interpretation for a :class:`~repro.compile.program.CompiledProgram`
--- plans are lowered once (memoized alongside the LayerComputer memo)
-into flat fused-kernel schedules whose outputs are byte-identical to
-the interpreted path.
+lowered from the same plan -- a flat fused-kernel schedule whose
+outputs are byte-identical to the interpreted path.  The executor
+keeps no program memo: :class:`~repro.runtime.mulayer.MuLayer` caches
+programs next to their plans in its
+:class:`~repro.runtime.plan_cache.PlanCache`.
 
 The simulated timeline is a pure function of (graph, plan, batch): the
 SoC and the zero-copy/async switches are fixed per executor, and the
 graph's weights never enter the timing model.  Compiled and
 timing-only runs therefore simulate each (graph, plan, batch) once and
 replay the outcome from a bounded LRU memo, keyed by object identity
-and identity-checked on every hit like :meth:`Executor.program_for`.
-This relies on plans being immutable once built, which the plan cache
-and program identity already assume.  A memo hit still runs every
-per-call check (plan validation, batch resolution, program staleness,
-the ``verify=True`` analyzers) and returns a fresh shallow copy with
-its own mechanism label, outputs and diagnostics; the timeline and
-traces are shared with the memo entry and are read-only.  The
-interpreted path (input data given, not compiled) re-simulates every
-run, because it is the byte-identity oracle.  The serving fleet keeps
-its own replay memo on top (``Fleet._run_memoized``): it also skips
-the plan validation a memo hit here still pays on every dispatch.
+and identity-checked on every hit.  This relies on plans being
+immutable once built, which the plan cache and program identity
+already assume.  A memo hit still runs every per-call check (plan
+validation, batch resolution, program identity and staleness, the
+``verify=True`` analyzers) and returns a fresh shallow copy with its
+own mechanism label, outputs and diagnostics; the timeline and traces
+are shared with the memo entry and are read-only.  The interpreted
+path (input data given, no program) re-simulates every run, because
+it is the byte-identity oracle: a fresh uncached
+:class:`LayerComputer` computes every layer from the graph's current
+arrays.  The serving fleet keeps its own replay memo on top
+(``Fleet._run_memoized``): it also skips the plan validation a memo
+hit here still pays on every dispatch.
 """
 
 from __future__ import annotations
@@ -90,21 +94,9 @@ class Executor:
             :class:`~repro.errors.VerificationError`; the full report
             (including warnings) is attached to the result's
             ``diagnostics`` field.
-        op_caches: reuse one :class:`LayerComputer` (and therefore its
-            packed-operand caches) across runs of the same
-            (graph, policy, calibration) -- True, the default.  False
-            restores the pre-cache behaviour of building a fresh
-            computer per run; outputs are byte-identical either way.
-        tuner: a :class:`~repro.tune.Tuner`; when set, every program
-            this executor compiles goes through per-step kernel-variant
-            autotuning (decisions cached in the tuner's
-            :class:`~repro.tune.TuneCache`).  ``None`` compiles the
-            reference lowering everywhere.
+        op_caches: must be False; the interpreter has no operand
+            caches, and True raises :class:`ValueError`.
     """
-
-    #: How many distinct (graph, policy, calibration) computers an
-    #: executor keeps warm; oldest is dropped beyond that.
-    _COMPUTER_MEMO_ENTRIES = 8
 
     #: How many (graph, plan, batch) timing outcomes an executor
     #: keeps; sized above the 15 (model, batch) pairs of five models
@@ -113,18 +105,15 @@ class Executor:
 
     def __init__(self, soc: SoCSpec, zero_copy: bool = True,
                  async_issue: bool = True, verify: bool = False,
-                 op_caches: bool = True, tuner=None) -> None:
+                 op_caches: bool = False) -> None:
+        # op_caches stays only for perfbench's Executor(soc, op_caches=False).
+        if op_caches:
+            raise ValueError("the interpreter has no operand caches; "
+                             "op_caches must be False")
         self.soc = soc
         self.zero_copy = zero_copy
         self.async_issue = async_issue
         self.verify = verify
-        self.op_caches = op_caches
-        self.tuner = tuner
-        self._computers: "OrderedDict[Tuple[int, QuantizationPolicy, int], LayerComputer]" = OrderedDict()
-        # Compiled programs, memoized with the same identity discipline
-        # (and re-validated against weight-array identity on reuse).
-        self._programs: ("OrderedDict[Tuple[int, int, int, int], "
-                         "object]") = OrderedDict()
         # Timing-only outcomes: (graph, plan, result) per
         # (id(graph), id(plan), batch), identity-checked on reuse.
         self._timings: ("OrderedDict[Tuple[int, int, int], Tuple["
@@ -133,55 +122,6 @@ class Executor:
         self.timing_hits = 0
         self.timing_misses = 0
         self.timing_evictions = 0
-
-    def _computer_for(self, graph: Graph, policy,
-                      calibration: Optional[CalibrationTable]
-                      ) -> LayerComputer:
-        """A LayerComputer for this run, memoized by object identity of
-        graph and calibration (policies compare by value) so packed
-        weight operands persist across inferences."""
-        if not self.op_caches:
-            return LayerComputer(graph, policy, calibration,
-                                 enable_caches=False)
-        key = (id(graph), policy, id(calibration))
-        computer = self._computers.get(key)
-        # Identity check via the stored references guards against id()
-        # recycling of dead objects.
-        if (computer is None or computer._graph is not graph
-                or computer._calibration is not calibration):
-            computer = LayerComputer(graph, policy, calibration)
-            self._computers[key] = computer
-        self._computers.move_to_end(key)
-        while len(self._computers) > self._COMPUTER_MEMO_ENTRIES:
-            self._computers.popitem(last=False)
-        return computer
-
-    def program_for(self, graph: Graph, plan: ExecutionPlan,
-                    calibration: Optional[CalibrationTable],
-                    batch: int, mechanism: str = "custom"):
-        """The compiled program of (graph, plan, calibration, batch).
-
-        Memoized by object identity like :meth:`_computer_for`, and
-        identity-revalidated on every reuse: replacing a layer's
-        weight arrays (``set_weights``) or passing a different plan
-        object triggers recompilation, never a stale program.
-        """
-        # Imported lazily: repro.compile imports the analysis package,
-        # which imports this one.
-        from ..compile import compile_program
-        key = (id(graph), id(plan), id(calibration), batch)
-        program = self._programs.get(key)
-        if (program is None or program.plan is not plan
-                or not program.matches(graph, calibration)):
-            program = compile_program(graph, plan,
-                                      calibration=calibration,
-                                      batch=batch, mechanism=mechanism,
-                                      tuner=self.tuner)
-            self._programs[key] = program
-        self._programs.move_to_end(key)
-        while len(self._programs) > self._COMPUTER_MEMO_ENTRIES:
-            self._programs.popitem(last=False)
-        return program
 
     def _simulated(self, graph: Graph, plan: ExecutionPlan, batch: int,
                    mechanism: str) -> InferenceResult:
@@ -224,7 +164,6 @@ class Executor:
             calibration: Optional[CalibrationTable] = None,
             mechanism: str = "custom",
             batch: Optional[int] = None,
-            compiled: bool = False,
             program=None) -> InferenceResult:
         """Execute ``graph`` according to ``plan``.
 
@@ -240,17 +179,14 @@ class Executor:
                 the plan's batch.  A plan built for batch B > 1 only
                 runs at batch B; a batch-1 plan runs at any batch (its
                 splits are then reused, only the timing scales).
-            compiled: compute the functional outputs through the
-                compiled fused program instead of the per-layer
-                interpreter (byte-identical results; timing is
-                unaffected, and replayed from the timing memo).
-                Ignored for timing-only runs.
-            program: a pre-compiled
-                :class:`~repro.compile.program.CompiledProgram` to run
-                (implies ``compiled=True``); must match the graph,
-                calibration, and batch.  When omitted, the executor
-                compiles and memoizes one per (graph, plan,
-                calibration, batch).
+            program: a :class:`~repro.compile.program.CompiledProgram`
+                lowered from ``plan`` itself (the same object) for the
+                graph's current weights, ``calibration`` and the run
+                batch.  With input data, the functional outputs come
+                from the program instead of the per-layer interpreter
+                (byte-identical results; timing is unaffected, and
+                replayed from the timing memo).  Ignored for
+                timing-only runs.
 
         Returns:
             The inference result with latency, energy, traces, and
@@ -258,18 +194,19 @@ class Executor:
         """
         plan.validate(graph)
         batch = self._resolve_batch(plan, x, batch)
-        compiled = (compiled or program is not None) and x is not None
+        compiled = program is not None and x is not None
         report = (self._verify_static(graph, plan, calibration)
                   if self.verify else None)
         if compiled:
-            if program is None:
-                program = self.program_for(graph, plan, calibration,
-                                           batch, mechanism=mechanism)
-            elif program.batch != batch:
+            if program.plan is not plan:
+                raise PlanError(
+                    "compiled program was lowered from a different plan "
+                    "object; compile it from this plan")
+            if program.batch != batch:
                 raise PlanError(
                     f"program was compiled for batch {program.batch} "
                     f"but the run uses batch {batch}")
-            elif not program.matches(graph, calibration):
+            if not program.matches(graph, calibration):
                 raise PlanError(
                     "compiled program is stale for this graph/"
                     "calibration; recompile it")
@@ -371,9 +308,8 @@ class _RunState:
         self.sample_values: List[Dict[str, Tensor]] = []
         self.sample_inputs: List[np.ndarray] = []
         if x is not None:
-            self.computer = executor._computer_for(graph, plan.policy,
-                                                   calibration)
-            self.computer.begin_inference()
+            self.computer = LayerComputer(graph, plan.policy,
+                                          calibration)
             if batch == 1:
                 self.sample_inputs = [x]
             else:

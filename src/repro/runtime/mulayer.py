@@ -80,8 +80,7 @@ class MuLayer:
         self.partitioner = Partitioner(soc, policy=policy, config=config,
                                        predictor=predictor)
         self.executor = Executor(soc, zero_copy=zero_copy,
-                                 async_issue=async_issue, verify=verify,
-                                 tuner=tuner)
+                                 async_issue=async_issue, verify=verify)
         self.plan_cache = plan_cache if plan_cache is not None else (
             PlanCache())
 
@@ -145,12 +144,16 @@ class MuLayer:
         """
         if batch is None:
             batch = int(x.shape[0]) if x is not None else 1
-        plan = self.plan(graph, batch=batch)
         use_compiled = self.compiled if compiled is None else compiled
         program = None
         if use_compiled and x is not None:
+            # program() already looked the plan up and checked that the
+            # program was lowered from it.
             program = self.program(graph, calibration=calibration,
                                    batch=batch)
+            plan = program.plan
+        else:
+            plan = self.plan(graph, batch=batch)
         return self.executor.run(graph, plan, x=x,
                                  calibration=calibration,
                                  mechanism="mulayer", batch=batch,

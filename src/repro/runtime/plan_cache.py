@@ -16,8 +16,8 @@ Programs live and die with their plan: storing a new plan under a key
 or evicting the key drops its programs, and a lookup that passes the
 current graph/calibration identity-validates the entry (a stale
 program -- ``set_weights`` installed new arrays -- is dropped and
-reported as a miss), the same discipline the packed-operand caches
-apply.
+reported as a miss).  These program slots are the runtime's only
+program memo; the :class:`~repro.runtime.executor.Executor` keeps none.
 
 The cache is thread-safe (the serving simulator's fleet shares it
 across device contexts, and warm-up may populate it concurrently) and
@@ -179,8 +179,7 @@ class PlanCache:
         against it (and against ``calibration``): a stale program --
         the graph object changed, ``set_weights`` installed new
         weight arrays, or the calibration table differs -- is dropped
-        and the lookup counts as a miss, exactly like the packed-
-        operand caches' source-identity validation.
+        and the lookup counts as a miss.
         """
         with self._lock:
             program = self._programs.get((key, batch))

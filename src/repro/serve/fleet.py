@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..models import build_model
 from ..nn import Graph
@@ -35,10 +34,6 @@ from ..runtime.plan_cache import PlanCache, PlanKey
 from ..soc import SoCSpec, soc_by_name
 from ..tensor import DType
 from .workload import Request
-
-if TYPE_CHECKING:   # pragma: no cover - typing only (avoids a cycle)
-    from ..quant.calibrate import CalibrationTable
-    from ..tune import Tuner
 
 #: Compute dtype of each single-processor mechanism -- the fastest
 #: per-processor data type per the paper (Section 7.2, Section 8.3).
@@ -102,12 +97,11 @@ class _SoCContext:
     calibration across the devices and requests of a simulation.
     """
 
-    def __init__(self, soc: SoCSpec, policy: QuantizationPolicy,
-                 tuner: "Optional[Tuner]" = None) -> None:
+    def __init__(self, soc: SoCSpec, policy: QuantizationPolicy) -> None:
         self.soc = soc
         self.policy = policy
         self.partitioner = Partitioner(soc, policy=policy)
-        self.executor = Executor(soc, tuner=tuner)
+        self.executor = Executor(soc)
         config = PartitionerConfig(enable_channel_distribution=False,
                                    enable_branch_distribution=False)
         self._estimators: Dict[str, Partitioner] = {
@@ -294,54 +288,33 @@ class Completion:
 class Fleet:
     """N devices, shared per-SoC machinery, one plan cache.
 
-    The executor is deterministic, so the
-    :class:`~repro.runtime.metrics.InferenceResult` of one
-    ``(model, SoC type, mechanism, batch)`` configuration is identical
-    on every dispatch; with ``memoize_results`` (the default) the fleet
-    runs each configuration once and replays the result, which is what
-    makes 10^5-request cluster sweeps affordable without changing a
-    single reported number.
+    Dispatches are timing-only (no input data): the executor is
+    deterministic, so the :class:`~repro.runtime.metrics.InferenceResult`
+    of one ``(model, SoC type, mechanism, batch)`` configuration is
+    identical on every dispatch.  The fleet runs each configuration
+    once and replays the result, which is what makes 10^5-request
+    cluster sweeps affordable without changing a single reported
+    number.
 
     Args:
         socs: the SoC of each device, in device order.
         policy: quantization policy for μLayer co-execution.
         plan_cache: externally shared cache; a fresh one by default.
-        memoize_results: replay the deterministic executor result per
-            configuration instead of re-executing it per request.
-        compiled: request compiled (fused, arena-planned) execution
-            for functional runs.  Fleet dispatches are timing-only
-            (no input data), where compiled and functional execution
-            report identical latencies, so this is a passthrough for
-            callers that feed the fleet's executors data directly.
-        tuner: a shared :class:`~repro.tune.Tuner`; when set, every
-            program the fleet compiles (including
-            :meth:`warm_plans`'s program warming) goes through
-            kernel-variant autotuning against the tuner's single
-            :class:`~repro.tune.TuneCache` -- each unique step
-            signature is tuned once fleet-wide, never once per
-            replica.
     """
 
     def __init__(self, socs: Sequence[SoCSpec],
                  policy: QuantizationPolicy = PROCESSOR_FRIENDLY,
-                 plan_cache: Optional[PlanCache] = None,
-                 memoize_results: bool = True,
-                 compiled: bool = False,
-                 tuner: "Optional[Tuner]" = None) -> None:
+                 plan_cache: Optional[PlanCache] = None) -> None:
         if not socs:
             raise ValueError("a fleet needs at least one device")
         self.policy = policy
         self.plan_cache = plan_cache if plan_cache is not None else (
             PlanCache())
-        self.memoize_results = memoize_results
-        self.compiled = compiled
-        self.tuner = tuner
         self._contexts: Dict[str, _SoCContext] = {}
         self.devices: List[Device] = []
         for index, soc in enumerate(socs):
             if soc.name not in self._contexts:
-                self._contexts[soc.name] = _SoCContext(soc, policy,
-                                                       tuner=tuner)
+                self._contexts[soc.name] = _SoCContext(soc, policy)
             self.devices.append(
                 Device.make(f"dev{index}:{soc.name}", soc))
         self._graphs: Dict[str, Graph] = {}
@@ -355,10 +328,7 @@ class Fleet:
     @classmethod
     def build(cls, soc_names: Sequence[str], num_devices: int,
               policy: QuantizationPolicy = PROCESSOR_FRIENDLY,
-              plan_cache: Optional[PlanCache] = None,
-              memoize_results: bool = True,
-              compiled: bool = False,
-              tuner: "Optional[Tuner]" = None) -> "Fleet":
+              plan_cache: Optional[PlanCache] = None) -> "Fleet":
         """A fleet of ``num_devices`` cycling through ``soc_names``."""
         if num_devices < 1:
             raise ValueError("num_devices must be >= 1")
@@ -366,9 +336,7 @@ class Fleet:
             raise ValueError("soc_names must not be empty")
         cycle = itertools.cycle([soc_by_name(name) for name in soc_names])
         socs = [next(cycle) for _ in range(num_devices)]
-        return cls(socs, policy=policy, plan_cache=plan_cache,
-                   memoize_results=memoize_results, compiled=compiled,
-                   tuner=tuner)
+        return cls(socs, policy=policy, plan_cache=plan_cache)
 
     # -- lookups -------------------------------------------------------------
 
@@ -422,8 +390,7 @@ class Fleet:
     def warm_plans(self, models: Sequence[str],
                    mechanisms: Optional[Sequence[str]] = None,
                    jobs: Optional[int] = None,
-                   batches: Sequence[int] = (1,),
-                   programs: bool = False) -> int:
+                   batches: Sequence[int] = (1,)) -> int:
         """Pre-build plans for every (model, SoC type, mechanism,
         batch).
 
@@ -439,17 +406,9 @@ class Fleet:
             batches: batch sizes to warm; a batching scheduler with
                 ``max_batch=B`` dispatches at sizes 1..B, so warm
                 ``range(1, B + 1)``.
-            programs: also compile (and, when the fleet has a tuner,
-                autotune) one :class:`CompiledProgram` per unique
-                (model, SoC type, mechanism, batch), cached next to
-                its plan.  The work is keyed by SoC *type*, not
-                device, so a hundred replicas of one SoC warm -- and
-                tune -- each configuration exactly once, all through
-                the fleet's shared :class:`~repro.tune.TuneCache`.
 
         Returns:
-            How many plans (plus, with ``programs``, programs) were
-            built and inserted by this call.
+            How many plans were built and inserted by this call.
         """
         from ..harness.parallel import parallel_map
 
@@ -487,73 +446,7 @@ class Fleet:
             for key, plan in parallel_map(_warm_plan_unit, work,
                                           jobs=jobs):
                 self.plan_cache.put(key, plan)
-        built = len(work)
-        if programs:
-            built += self._warm_programs(models, mechanisms, batches)
-        return built
-
-    def _warm_programs(self, models: Sequence[str],
-                       mechanisms: Optional[Sequence[str]],
-                       batches: Sequence[int]) -> int:
-        """Compile one program per unique configuration (see
-        :meth:`warm_plans`); returns how many were compiled."""
-        # Imported lazily: repro.compile imports the analysis package,
-        # which imports the runtime this module builds on.
-        from ..compile import compile_program
-        from ..nn.reference import calibrate_graph
-        import numpy as np
-
-        weighted: Dict[str, Graph] = {}
-        calibrations: Dict[Tuple[str, str], "CalibrationTable"] = {}
-        compiled = 0
-        for soc_name in sorted(self._contexts):
-            context = self._contexts[soc_name]
-            supported = context.mechanisms()
-            chosen = (supported if mechanisms is None
-                      else tuple(m for m in mechanisms
-                                 if m in supported))
-            for model in models:
-                for mechanism in chosen:
-                    for batch in batches:
-                        key = PlanKey(
-                            model=model, soc=soc_name,
-                            mechanism=mechanism,
-                            policy=context.policy_name(mechanism),
-                            batch=batch)
-                        if self.plan_cache.get_program(
-                                key, batch) is not None:
-                            continue
-                        graph = weighted.get(model)
-                        if graph is None:
-                            graph = build_model(model,
-                                                with_weights=True)
-                            weighted[model] = graph
-                        plan = self.plan_cache.get_or_build(
-                            key,
-                            lambda: context.build_plan(graph, mechanism,
-                                                       batch=batch))
-                        calibration: "Optional[CalibrationTable]" = None
-                        if plan.policy.is_quantized:
-                            cal_key = (model, plan.policy.name)
-                            calibration = calibrations.get(cal_key)
-                            if calibration is None:
-                                in_name = graph.input_layers()[0]
-                                shape = (1,) + tuple(
-                                    int(d) for d in
-                                    graph.infer_shapes()[in_name][1:])
-                                sample = np.random.default_rng(
-                                    0).standard_normal(shape).astype(
-                                        np.float32)
-                                calibration = calibrate_graph(
-                                    graph, [sample])
-                                calibrations[cal_key] = calibration
-                        program = compile_program(
-                            graph, plan, calibration=calibration,
-                            batch=batch, mechanism=mechanism,
-                            tuner=self.tuner)
-                        self.plan_cache.put_program(key, batch, program)
-                        compiled += 1
-        return compiled
+        return len(work)
 
     def resources_for(self, model: str, device: Device, mechanism: str,
                       batch: int = 1) -> Tuple[str, ...]:
@@ -637,8 +530,7 @@ class Fleet:
         The executor is deterministic, so replaying the cached
         :class:`InferenceResult` is observationally identical to
         re-executing -- same latency, energy, traffic, timeline -- at
-        none of the cost.  ``memoize_results=False`` restores per-
-        dispatch execution.
+        none of the cost.
         """
         # Look the plan up unconditionally so the plan cache's
         # hit/miss counters read exactly as they would without result
@@ -652,9 +544,8 @@ class Fleet:
         kwargs = {"batch": batch} if batch > 1 else {}
         result = context.executor.run(
             self.graph(model), plan, mechanism=f"serve-{mechanism}",
-            compiled=self.compiled, **kwargs)
-        if self.memoize_results:
-            self._results[key] = result
+            **kwargs)
+        self._results[key] = result
         return result
 
     def execute(self, request: Request, device: Device, mechanism: str,

@@ -1,14 +1,17 @@
 """Byte-identity of the compiled fused path.
 
-The compiled execution path's correctness bar, mirroring the operand-
-cache and batching suites: running a graph through the lowered
+The compiled execution path's correctness bar, mirroring the batching
+suite: running a graph through the lowered
 :class:`~repro.compile.program.CompiledProgram` must be *byte-identical*
-to the per-layer functional interpreter -- for every mini-zoo model,
+to the uncached per-layer interpreter -- for every mini-zoo model,
 three plan mechanisms (single-processor baseline, matched cooperative
-split, the partitioner's PFQ plan), and batch sizes 1 and 4.  The
-compiled path reproduces the interpreter's exact kernel semantics
-(per-sample GEMM rows, f16 rounding points, int32 wrapping
-requantization), so there is no float tolerance to hide behind.
+split, the partitioner's PFQ plan), and batch sizes 1 and 4; and for
+every layer shape (conv, FC, depthwise) under every policy (F32, F16,
+QUInt8, PFQ), placed whole or split between processors at even and
+uneven ratios.  The compiled path reproduces the interpreter's exact
+kernel semantics (per-sample GEMM rows, f16 rounding points, int32
+wrapping requantization), so there is no float tolerance to hide
+behind.
 """
 
 import numpy as np
@@ -16,8 +19,9 @@ import pytest
 
 from repro.models import MINI_MODELS, build_model
 from repro.nn import calibrate_graph
+from repro.compile import compile_program
 from repro.runtime import (MuLayer, PROCESSOR_FRIENDLY, UNIFORM_F16,
-                           UNIFORM_QUINT8)
+                           UNIFORM_F32, UNIFORM_QUINT8)
 from repro.runtime.baselines import single_processor_plan
 from repro.runtime.executor import Executor
 from repro.runtime.plan import ExecutionPlan, LayerAssignment
@@ -25,14 +29,21 @@ from repro.soc import EXYNOS_7420
 
 MECHANISMS = ("baseline", "split", "pfq")
 BATCHES = (1, 4)
+POLICIES = {
+    "f32": UNIFORM_F32,
+    "f16": UNIFORM_F16,
+    "quint8": UNIFORM_QUINT8,
+    "pfq": PROCESSOR_FRIENDLY,
+}
 
 
-def _split_plan(graph, policy):
-    """A 0.5 CPU/GPU cooperative split on every splittable layer."""
+def _split_plan(graph, policy, split=0.5):
+    """A ``split`` CPU/GPU cooperative split on every splittable
+    layer; ``split=None`` runs every layer on the CPU."""
     assignments = {}
     for name in graph.compute_layers():
-        if graph.layer(name).supports_channel_split:
-            assignments[name] = LayerAssignment.cooperative(name, 0.5)
+        if split is not None and graph.layer(name).supports_channel_split:
+            assignments[name] = LayerAssignment.cooperative(name, split)
         else:
             assignments[name] = LayerAssignment.on_cpu(name)
     return ExecutionPlan(graph_name=graph.name, policy=policy,
@@ -71,10 +82,18 @@ def test_compiled_matches_functional(zoo, model, mechanism, batch):
     plan = _plan_for(graph, mechanism)
     x = np.random.default_rng(batch).standard_normal(
         (batch, 3, 32, 32)).astype(np.float32)
+    _assert_program_matches_interpreter(graph, plan, calibration, x)
+
+
+def _assert_program_matches_interpreter(graph, plan, calibration, x):
+    """Compiled and interpreted runs agree byte-for-byte on every
+    layer output."""
     executor = Executor(EXYNOS_7420)
     functional = executor.run(graph, plan, x=x, calibration=calibration)
+    program = compile_program(graph, plan, calibration,
+                              batch=x.shape[0])
     compiled = executor.run(graph, plan, x=x, calibration=calibration,
-                            compiled=True)
+                            program=program)
     assert set(compiled.outputs) == set(functional.outputs)
     for name, expected in functional.outputs.items():
         actual = compiled.outputs[name]
@@ -83,13 +102,55 @@ def test_compiled_matches_functional(zoo, model, mechanism, batch):
         assert actual.data.tobytes() == expected.data.tobytes(), name
 
 
+def _calibration_for(policy, name, request):
+    if not policy.is_quantized:
+        return None
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("policy_name", sorted(POLICIES))
+@pytest.mark.parametrize("cooperative", [False, True],
+                         ids=["full", "coop"])
+def test_conv_fc_policies(request, policy_name, cooperative,
+                          squeezenet_mini, single_input):
+    """squeezenet_mini covers conv + FC + concat layers."""
+    policy = POLICIES[policy_name]
+    calibration = _calibration_for(policy, "squeezenet_calibration",
+                                   request)
+    plan = _split_plan(squeezenet_mini, policy,
+                       0.5 if cooperative else None)
+    _assert_program_matches_interpreter(squeezenet_mini, plan,
+                                        calibration, single_input)
+
+
+@pytest.mark.parametrize("policy_name", sorted(POLICIES))
+@pytest.mark.parametrize("cooperative", [False, True],
+                         ids=["full", "coop"])
+def test_depthwise_policies(request, policy_name, cooperative,
+                            mobilenet_mini, single_input):
+    """mobilenet_mini covers depthwise convolutions."""
+    policy = POLICIES[policy_name]
+    calibration = _calibration_for(policy, "mobilenet_mini_calibration",
+                                   request)
+    plan = _split_plan(mobilenet_mini, policy,
+                       0.5 if cooperative else None)
+    _assert_program_matches_interpreter(mobilenet_mini, plan,
+                                        calibration, single_input)
+
+
+@pytest.mark.parametrize("split", [0.25, 0.5, 0.75])
+def test_uneven_splits(squeezenet_mini, squeezenet_calibration,
+                       single_input, split):
+    plan = _split_plan(squeezenet_mini, PROCESSOR_FRIENDLY, split)
+    _assert_program_matches_interpreter(
+        squeezenet_mini, plan, squeezenet_calibration, single_input)
+
+
 @pytest.mark.parametrize("mechanism", MECHANISMS)
 def test_arena_run_matches_fresh_run(zoo, mechanism):
     """keep="outputs" (arena-backed buffers, reused across runs) and
     keep="all" (fresh per-layer arrays) produce identical graph
     outputs, including on a second run over the reused arena."""
-    from repro.compile import compile_program
-
     graph, calibration = zoo["squeezenet_mini"]
     plan = _plan_for(graph, mechanism)
     program = compile_program(graph, plan, calibration)
@@ -108,8 +169,6 @@ def test_program_stats_describe(zoo):
     """describe() reports the lowered shape of the program: one step
     per compute layer, a non-trivial fused-op count, and a planned
     arena."""
-    from repro.compile import compile_program
-
     graph, calibration = zoo["vgg_mini"]
     plan = _plan_for(graph, "pfq")
     program = compile_program(graph, plan, calibration)

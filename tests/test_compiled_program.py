@@ -97,6 +97,29 @@ class TestPlanCachePrograms:
         assert (compiled.outputs[out].data.tobytes()
                 == functional.outputs[out].data.tobytes())
 
+    def test_compiled_request_looks_up_plan_and_program_once(self, rng):
+        """A compiled MuLayer.run takes its plan from the program it
+        looked up, so each request costs one plan-cache lookup and one
+        program lookup."""
+        from repro.models import build_model
+        from repro.nn import calibrate_graph
+
+        graph = build_model("vgg_mini")
+        x = rng.standard_normal((1, 3, 32, 32)).astype(np.float32)
+        calibration = calibrate_graph(graph, [x])
+        runtime = MuLayer(EXYNOS_7420, compiled=True)
+        runtime.run(graph, x, calibration=calibration)
+        cache = runtime.plan_cache
+        plans = cache.hits + cache.misses
+        programs = cache.program_hits + cache.program_misses
+        requests = 10
+        for _ in range(requests):
+            runtime.run(graph, x, calibration=calibration)
+        assert cache.hits + cache.misses == plans + requests
+        assert (cache.program_hits + cache.program_misses
+                == programs + requests)
+        assert cache.misses == 1 and cache.program_misses == 1
+
 
 class TestPlanCacheConcurrency:
     def test_no_torn_plan_program_pairs_under_hammer(self):
@@ -175,10 +198,10 @@ class TestPlanCacheConcurrency:
                 assert cache.get(key) is pairs[key][0]
 
 
-class TestOperandCacheWeightRaces:
+class TestWeightRaces:
     def test_set_weights_races_tuned_parallel_execution(self, rng):
         """``set_weights`` storms while a *tuned* compiled program
-        runs on its own thread and a cached functional computer keeps
+        runs on its own thread and the uncached interpreter keeps
         inferring on another.
 
         Three guarantees under the race, same shape as the PlanCache
@@ -188,11 +211,9 @@ class TestOperandCacheWeightRaces:
           producing byte-identical outputs mid-storm (lowering baked
           its own operand copies; surgery on the graph cannot tear an
           in-flight program);
-        * the :class:`OperandCache` inside the functional computer
-          never serves a torn entry -- identity validation rebuilds
-          packed operands whenever the source array changed, so every
-          functional output matches one of the weight generations that
-          existed when it ran;
+        * the interpreter reads each layer's weight array once per
+          layer, so every functional output matches one of the weight
+          generations that existed when it ran;
         * at quiescence the runtime recompiles (the cached program
           went stale) and the new tuned program is byte-identical to a
           fresh functional run over the final weights.
@@ -214,11 +235,9 @@ class TestOperandCacheWeightRaces:
         old_bytes = old_program.run(x, keep="outputs")[out].data \
             .tobytes()
 
-        computer = LayerComputer(graph, PROCESSOR_FRIENDLY,
-                                 calibration, enable_caches=True)
+        computer = LayerComputer(graph, PROCESSOR_FRIENDLY, calibration)
 
         def functional(comp):
-            comp.begin_inference()
             input_name = graph.input_layers()[0]
             values = {input_name: comp.input_tensor(input_name, x)}
             for name in graph.compute_layers():
@@ -228,8 +247,7 @@ class TestOperandCacheWeightRaces:
 
         # Distinct weight generations with distinct expected outputs:
         # the racing functional thread must only ever produce one of
-        # them (the run reads each layer's weight array once, and the
-        # operand caches validate against that exact object).
+        # them (the run reads each layer's weight array once).
         target = next(n for n in graph.compute_layers()
                       if graph.layer(n).weights is not None)
         layer = graph.layer(target)
@@ -240,9 +258,7 @@ class TestOperandCacheWeightRaces:
             weights = base_weights * (1.0 + 0.05 * index)
             layer.set_weights(weights, base_bias.copy())
             arrays.append(weights)
-            fresh = LayerComputer(graph, PROCESSOR_FRIENDLY,
-                                  calibration, enable_caches=False)
-            expected.add(functional(fresh))
+            expected.add(functional(computer))
         assert len(expected) == len(arrays)   # generations differ
 
         errors = []
@@ -264,8 +280,8 @@ class TestOperandCacheWeightRaces:
                 progress[1] += 1
                 if seen not in expected:
                     errors.append("functional output matches no "
-                                  "weight generation (torn operand "
-                                  "cache entry)")
+                                  "weight generation (torn weight "
+                                  "read)")
                     return
 
         def mutator():
@@ -298,18 +314,8 @@ class TestOperandCacheWeightRaces:
         assert old_program.is_stale(graph)
         new_program = runtime.program(graph, calibration=calibration)
         assert new_program is not old_program and new_program.tuned
-        fresh = LayerComputer(graph, PROCESSOR_FRIENDLY, calibration,
-                              enable_caches=False)
         assert (new_program.run(x, keep="outputs")[out].data.tobytes()
-                == functional(fresh))
-
-        # The racing computer's caches actually validated identity:
-        # packing across swapped generations shows up as misses on
-        # the weight-side cache, never as a silently served stale
-        # entry.
-        stats = computer.cache_stats()
-        assert stats["packed"]["misses"] >= 1
-        assert stats["packed"]["hits"] >= 1
+                == functional(computer))
 
 
 class TestVerifyProgramPV012:

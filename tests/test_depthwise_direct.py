@@ -70,8 +70,7 @@ def _compiled_vs_interpreted(graph, calibration, policy, placement,
                               batch=codes.shape[0])
     (step,) = program.steps
     compiled = step.fn([codes])
-    computer = LayerComputer(graph, policy, calibration,
-                             enable_caches=False)
+    computer = LayerComputer(graph, policy, calibration)
     x = Tensor(codes, DType.QUINT8, calibration.get("input"))
     if placement == "cpu":
         interpreted = computer.run_full("dw", [x], "cpu")
@@ -222,10 +221,11 @@ def test_full_mobilenet_pfq_byte_identical():
     x = rng.standard_normal((1, 3, 224, 224)).astype(np.float32)
     calibration = calibrate_graph(graph, [x])
     plan = MuLayer(EXYNOS_7420, PROCESSOR_FRIENDLY).plan(graph)
-    functional = Executor(EXYNOS_7420, op_caches=False).run(
+    functional = Executor(EXYNOS_7420).run(
         graph, plan, x=x, calibration=calibration)
     compiled = Executor(EXYNOS_7420).run(
-        graph, plan, x=x, calibration=calibration, compiled=True)
+        graph, plan, x=x, calibration=calibration,
+        program=compile_program(graph, plan, calibration))
     (out,) = graph.output_layers()
     assert (compiled.outputs[out].data.tobytes()
             == functional.outputs[out].data.tobytes())

@@ -174,3 +174,61 @@ class TestCooperativeSplit:
         with pytest.raises(PlanError, match="cannot be split"):
             computer.run_cooperative("fire1/concat", [expand1, expand3],
                                      0.5)
+
+
+class TestWeightUpdates:
+    """The interpreter is uncached: every call reads the layer's
+    current arrays, so no weight update can leave it serving stale
+    operands."""
+
+    @staticmethod
+    def _first_conv(graph, computer, x):
+        name = graph.compute_layers()[0]
+        t = computer.input_tensor(graph.input_layers()[0], x)
+        return computer.run_full(name, [t], "cpu")
+
+    def test_replaced_weights_requantize(self, squeezenet_mini,
+                                         squeezenet_calibration,
+                                         single_input):
+        """Installing new arrays via ``set_weights`` takes effect on a
+        computer built before the update."""
+        layer = squeezenet_mini.layer(squeezenet_mini.compute_layers()[0])
+        old_weights, old_bias = layer.weights, layer.bias
+        computer = LayerComputer(squeezenet_mini, UNIFORM_QUINT8,
+                                 squeezenet_calibration)
+        before = self._first_conv(squeezenet_mini, computer, single_input)
+        try:
+            layer.set_weights(old_weights * 2.0, old_bias * 2.0)
+            after = self._first_conv(squeezenet_mini, computer,
+                                     single_input)
+            fresh = LayerComputer(squeezenet_mini, UNIFORM_QUINT8,
+                                  squeezenet_calibration)
+            expected = self._first_conv(squeezenet_mini, fresh,
+                                        single_input)
+            assert after.data.tobytes() == expected.data.tobytes()
+            assert before.data.tobytes() != after.data.tobytes()
+        finally:
+            layer.set_weights(old_weights, old_bias)
+
+    def test_inplace_mutation_is_seen(self, squeezenet_mini,
+                                      squeezenet_calibration,
+                                      single_input):
+        """In-place mutation of the same array object needs no
+        invalidation step."""
+        layer = squeezenet_mini.layer(squeezenet_mini.compute_layers()[0])
+        computer = LayerComputer(squeezenet_mini, UNIFORM_QUINT8,
+                                 squeezenet_calibration)
+        before = self._first_conv(squeezenet_mini, computer, single_input)
+        saved = layer.weights.copy()
+        try:
+            layer.weights *= 2.0
+            after = self._first_conv(squeezenet_mini, computer,
+                                     single_input)
+            fresh = LayerComputer(squeezenet_mini, UNIFORM_QUINT8,
+                                  squeezenet_calibration)
+            expected = self._first_conv(squeezenet_mini, fresh,
+                                        single_input)
+            assert after.data.tobytes() == expected.data.tobytes()
+            assert before.data.tobytes() != after.data.tobytes()
+        finally:
+            layer.weights[...] = saved

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.compile import compile_program
+from repro.errors import PlanError
 from repro.models import build_model
-from repro.nn import run_reference
+from repro.nn import calibrate_graph, run_reference
 from repro.runtime import (Executor, ExecutionPlan, LayerAssignment,
-                           PROCESSOR_FRIENDLY, UNIFORM_F32,
+                           PROCESSOR_FRIENDLY, UNIFORM_F32, UNIFORM_QUINT8,
                            single_processor_plan)
 from repro.soc import CPU, GPU
 
@@ -221,10 +223,11 @@ class TestTimingMemo:
     def test_compiled_runs_replay_timing(self, weighted, highend):
         graph, calibration, plan, x = weighted
         executor = Executor(highend)
+        program = compile_program(graph, plan, calibration)
         first = executor.run(graph, plan, x=x, calibration=calibration,
-                             compiled=True, mechanism="a")
+                             program=program, mechanism="a")
         second = executor.run(graph, plan, x=x, calibration=calibration,
-                              compiled=True, mechanism="b")
+                              program=program, mechanism="b")
         assert self.timing_of(first) == self.timing_of(second)
         assert first is not second
         assert (first.mechanism, second.mechanism) == ("a", "b")
@@ -238,21 +241,23 @@ class TestTimingMemo:
                                                       highend):
         graph, calibration, plan, x = weighted
         executor = Executor(highend)
+        program = compile_program(graph, plan, calibration)
         before = executor.run(graph, plan, x=x, calibration=calibration,
-                              compiled=True)
-        program = executor.program_for(graph, plan, calibration, 1)
+                              program=program)
         for name in graph.compute_layers():
             layer = graph.layer(name)
             if getattr(layer, "weights", None) is not None:
                 layer.set_weights(layer.weights * np.float32(1.5),
                                   layer.bias)
+        with pytest.raises(PlanError, match="stale"):
+            executor.run(graph, plan, x=x, calibration=calibration,
+                         program=program)
         after = executor.run(graph, plan, x=x, calibration=calibration,
-                             compiled=True)
-        assert executor.program_for(graph, plan, calibration,
-                                    1) is not program
+                             program=compile_program(graph, plan,
+                                                     calibration))
         assert (executor.timing_misses, executor.timing_hits) == (1, 1)
         assert self.timing_of(before) == self.timing_of(after)
-        reference = Executor(highend, op_caches=False).run(
+        reference = Executor(highend).run(
             graph, plan, x=x, calibration=calibration)
         for name in reference.outputs:
             assert after.outputs[name].data.tobytes() == \
@@ -297,10 +302,11 @@ class TestTimingMemo:
                                                   highend):
         graph, calibration, plan, x = weighted
         executor = Executor(highend, verify=True)
+        program = compile_program(graph, plan, calibration)
         first = executor.run(graph, plan, x=x, calibration=calibration,
-                             compiled=True)
+                             program=program)
         second = executor.run(graph, plan, x=x, calibration=calibration,
-                              compiled=True)
+                              program=program)
         assert first.diagnostics is not None
         assert second.diagnostics is not None
         assert first.diagnostics is not second.diagnostics
@@ -352,3 +358,41 @@ class TestTimingMemo:
         assert stats["timing_entries"] == 2.0
         assert stats["timing_evictions"] == 2.0
         assert stats["timing_misses"] == 4.0
+
+
+class TestProgramPlanIdentity:
+    """A program is only ever run under the plan it was lowered from."""
+
+    def test_program_from_another_plan_raises(self, rng, highend):
+        graph = build_model("vgg_mini")
+        x = rng.standard_normal((1, 3, 32, 32)).astype(np.float32)
+        calibration = calibrate_graph(graph, [x])
+        cpu = cpu_plan(graph, PROCESSOR_FRIENDLY)
+        gpu = gpu_plan(graph, PROCESSOR_FRIENDLY)
+        program = compile_program(graph, gpu, calibration)
+        with pytest.raises(PlanError, match="different plan"):
+            Executor(highend).run(graph, cpu, x=x,
+                                  calibration=calibration,
+                                  program=program)
+        # An equal-valued copy of the plan is still another object.
+        with pytest.raises(PlanError, match="different plan"):
+            Executor(highend).run(graph, gpu_plan(graph,
+                                                  PROCESSOR_FRIENDLY),
+                                  x=x, calibration=calibration,
+                                  program=program)
+        result = Executor(highend).run(graph, gpu, x=x,
+                                       calibration=calibration,
+                                       program=program)
+        assert result.outputs is not None
+
+
+class TestOpCachesKeyword:
+    """``op_caches=False`` is the only legal value: the interpreter is
+    uncached either way."""
+
+    def test_op_caches_false_accepted(self, soc):
+        Executor(soc, op_caches=False)
+
+    def test_op_caches_true_raises(self, highend):
+        with pytest.raises(ValueError, match="op_caches"):
+            Executor(highend, op_caches=True)

@@ -175,54 +175,6 @@ class TestWarmPlans:
         # Second call finds everything cached and builds nothing.
         assert fresh.warm_plans(("vgg_mini",)) == 0
 
-    def test_program_warm_once_per_soc_type_not_per_replica(self):
-        """Six replicas of one SoC type warm -- and tune -- each
-        (model, mechanism, batch) program exactly once, through the
-        fleet's shared tuner."""
-        from repro.tune import Tuner
-
-        tuner = Tuner(repeats=1)
-        fresh = Fleet.build(("exynos7420",), 6, compiled=True,
-                            tuner=tuner)
-        built = fresh.warm_plans(("vgg_mini",),
-                                 mechanisms=("mulayer",),
-                                 batches=(1, 2), programs=True)
-        # 2 plans + 2 programs, regardless of the replica count.
-        assert built == 4
-        assert fresh.plan_cache.program_count() == 2
-        context = fresh._contexts["exynos7420"]
-        for batch in (1, 2):
-            key = PlanKey(model="vgg_mini", soc="exynos7420",
-                          mechanism="mulayer",
-                          policy=context.policy_name("mulayer"),
-                          batch=batch)
-            program = fresh.plan_cache.get_program(key, batch)
-            assert program is not None
-            assert program.tuned
-            assert program.batch == batch
-        # Warming again builds nothing: every plan and program hits.
-        assert fresh.warm_plans(("vgg_mini",),
-                                mechanisms=("mulayer",),
-                                batches=(1, 2), programs=True) == 0
-
-    def test_program_warm_shares_tune_cache_across_soc_types(self):
-        """A mixed fleet funnels every SoC type's compiles through
-        the one shared TuneCache: identical step signatures tune once
-        and hit thereafter."""
-        from repro.tune import Tuner
-
-        tuner = Tuner(repeats=1)
-        mixed = Fleet.build(("exynos7420", "exynos7880"), 2,
-                            compiled=True, tuner=tuner)
-        # squeezenet_mini's 1x1 convs have tunable lowerings at
-        # batch 1 (vgg_mini has none).
-        mixed.warm_plans(("squeezenet_mini",), mechanisms=("mulayer",),
-                         programs=True)
-        assert mixed.plan_cache.program_count() == 2
-        # Both SoC types compiled the same model at the same batch;
-        # the second compile's signatures hit the shared cache.
-        assert tuner.cache.hits > 0
-
     def test_parallel_matches_serial(self):
         serial = Fleet.build(("exynos7420",), 1)
         parallel = Fleet.build(("exynos7420",), 1)
