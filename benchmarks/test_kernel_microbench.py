@@ -76,6 +76,45 @@ def test_bench_requantize_prepared(benchmark):
     assert out.dtype == np.uint8 and out.shape == acc.shape
 
 
+#: MobileNet conv1/pw's output (64 channels at 112x112) as GEMM rows.
+PW_ROWS = (112 * 112, 64)
+
+
+@pytest.mark.parametrize("relu", [False, True], ids=["plain", "relu"])
+def test_bench_requantizer(benchmark, relu):
+    """The compiled path's float64 requantize epilogue on mobilenet
+    conv1/pw's output, checked byte for byte against the
+    interpreter's ``requantize_prepared`` (plus the ReLU clamp).  The
+    epilogue consumes its accumulator, so each round gets a copy made
+    outside the timed call; compare against
+    test_bench_requantize_prepared."""
+    from repro.quant import Requantizer, requantize_prepared
+    out_params = QuantParams.from_range(-6.0, 6.0)
+    requantizer = Requantizer.prepare(0.02, 0.004, out_params, relu)
+    assert requantizer.window is not None
+    acc = RNG.integers(-2 ** 20, 2 ** 20, PW_ROWS).astype(np.int32)
+    out = benchmark.pedantic(requantizer,
+                             setup=lambda: ((acc.copy(),), {}),
+                             rounds=30)
+    want = requantize_prepared(acc, requantizer.mantissa,
+                               requantizer.shift, out_params)
+    if relu:
+        want = np.maximum(want, np.uint8(out_params.zero_point))
+    assert out.tobytes() == want.tobytes()
+
+
+def test_bench_quantize_store(benchmark):
+    """The F16 store of mobilenet conv1/pw's GPU rows (f16 straight to
+    uint8 codes, ReLU as the clip bound), checked byte for byte
+    against the interpreter's cast, ReLU and ``QuantParams.quantize``."""
+    from repro.quant import quantize_store
+    out_params = QuantParams.from_range(-6.0, 6.0)
+    rows = (RNG.standard_normal(PW_ROWS) * 4).astype(np.float16)
+    out = benchmark(quantize_store, rows, out_params, True)
+    want = out_params.quantize(np.maximum(rows.astype(np.float32), 0.0))
+    assert out.tobytes() == want.tobytes()
+
+
 def test_bench_conv1x1_direct(benchmark, conv_input):
     """The direct NCHW GEMM the autotuner offers for 1x1 convs --
     the im2col copy and the output fold it skips are the whole

@@ -9,9 +9,8 @@ and emits one fused step per compute layer:
   one ``gemm_f16``/``matmul`` with epilogue on the float pipelines);
   all weight-side operands are packed at compile time, including the
   folded bias/zero-point constant row
-  (:func:`~repro.kernels.qgemm.fused_const_row`) and the pre-decomposed
-  requantization multiplier
-  (:func:`~repro.quant.linear.prepare_requantize`);
+  (:func:`~repro.kernels.qgemm.fused_const_row`) and the prepared
+  requantization epilogue (:class:`~repro.quant.linear.Requantizer`);
 * **batched GEMM** -- the batch axis folds into the GEMM row dimension
   wherever that is byte-exact: always on the integer pipeline, whose
   accumulators are order-independent (modular int32 arithmetic is
@@ -32,9 +31,17 @@ Cooperative layers lower into one part per processor over the plan's
 channel ranges (:func:`~repro.runtime.distribution.channel_ranges`),
 each on its processor's pipeline, concatenated in channel order --
 exactly :meth:`LayerComputer.run_cooperative_shares`.  The parts of a
-quantized-storage conv share one uint8 code column matrix, which the
-float parts dequantize through a 256-entry table -- byte-identical to
-the interpreter, which lowers the columns once per part.
+quantized-storage conv that share a pipeline share one column matrix;
+the float parts dequantize the input through a 256-entry table before
+im2col -- byte-identical to the interpreter, which gathers its uint8
+code columns through the same table.
+
+Epilogues run in place on each part's fresh output.  Integer parts
+requantize through a compile-time
+:class:`~repro.quant.linear.Requantizer` (an exact float64 form of
+gemmlowp's fixed-point pipeline, ReLU as a clamp bound); F16 parts
+over QUInt8 storage quantize their f16 rows directly with
+:func:`~repro.quant.linear.quantize_store` and fold the uint8 codes.
 
 Channel-independent kinds (pooling, ReLU, depthwise with uniform
 pipelines, elementwise) are computed whole even when the plan splits
@@ -67,8 +74,8 @@ from ..kernels.qgemm import (EXACT_GEMM_MAX_DEPTH, fused_const_row,
                              quantize_bias)
 from ..nn import Graph, LayerKind
 from ..nn.layers import Conv2D, DepthwiseConv2D, FullyConnected, Input
-from ..quant import (dequantize_lut, dequantize_to_half,
-                     prepare_requantize, requantize_prepared)
+from ..quant import dequantize_lut, dequantize_to_half
+from ..quant.linear import Requantizer, quantize_store
 from ..quant.calibrate import CalibrationTable
 from ..runtime.distribution import channel_ranges
 from ..runtime.plan import ExecutionPlan, LayerAssignment
@@ -352,10 +359,13 @@ class _Lowering:
                            ) -> Dict[str, PrepareFn]:
         """Per-variant activation-side lowerings of one GEMM layer.
 
-        Under QUInt8 storage every variant derives from the shared
-        uint8 code columns -- the float pipelines map them through a
-        256-entry dequantization table, as the interpreter's float
-        pipelines do with their own code columns.
+        Under QUInt8 storage the integer pipeline lowers the uint8
+        codes; the float pipelines map the *input* through the
+        256-entry dequantization table and lower that -- the
+        interpreter gathers its code columns instead, which is the
+        same bytes (the table is elementwise and sends the zero-point
+        padding to +0.0, the float padding) for a k*k-times smaller
+        gather.
         """
         is_conv = isinstance(layer, Conv2D)
         builders: Dict[str, PrepareFn] = {}
@@ -370,17 +380,18 @@ class _Lowering:
             lut_half = dequantize_lut(x_qparams).astype(np.float32)
             qp = x_qparams
             if is_conv:
-                def codes3d(x: np.ndarray) -> np.ndarray:
-                    return im2col(x, layer.kernel, layer.stride,
-                                  layer.padding, pad_value=pad)
-
                 def build_codes(x: np.ndarray) -> np.ndarray:
-                    c = codes3d(x)
+                    c = im2col(x, layer.kernel, layer.stride,
+                               layer.padding, pad_value=pad)
                     return c.reshape(-1, c.shape[-1])
 
                 def build_half(x: np.ndarray) -> np.ndarray:
-                    c = codes3d(x)
-                    return lut_half[c].reshape(-1, c.shape[-1])
+                    # lut_half[zero_point] is +0.0, so gathering the
+                    # input before im2col with 0.0 padding equals
+                    # gathering the k*k-times larger code columns.
+                    c = im2col(lut_half[x], layer.kernel, layer.stride,
+                               layer.padding, pad_value=0.0)
+                    return c.reshape(-1, c.shape[-1])
 
                 builders["codes"] = build_codes
                 builders["half"] = build_half
@@ -470,25 +481,24 @@ class _Lowering:
         else:
             rhs = weight_codes.T
         rhs_i32 = rhs.astype(np.int32)
-        # BLAS dgemm computes the identical accumulator whenever the
-        # depth bound guarantees exactness (see qgemm_fused).
-        rhs_f64 = (rhs.astype(np.float64)
-                   if rhs.shape[0] <= EXACT_GEMM_MAX_DEPTH else None)
         bias_i32 = quantize_bias(bias, x_qparams.scale, w_qparams.scale)
         const_row = fused_const_row(rhs_i32, x_qparams.zero_point,
                                     w_qparams.zero_point, bias_i32)
+        # BLAS dgemm computes the identical accumulator whenever the
+        # depth bound guarantees exactness (see qgemm_fused); the run
+        # closure holds only the operand the kernel reads.
+        packed = (rhs.astype(np.float64)
+                  if rhs.shape[0] <= EXACT_GEMM_MAX_DEPTH else rhs_i32)
         out_qparams = self.qparams[name]
         assert out_qparams is not None
-        mantissa, shift = prepare_requantize(
-            x_qparams.scale, w_qparams.scale, out_qparams)
+        requantizer = Requantizer.prepare(
+            x_qparams.scale, w_qparams.scale, out_qparams, layer.relu)
         rhs_zero = w_qparams.zero_point
-        relu = layer.relu
         shape = self._part_shape(layer, rng)
 
         def run(lhs: np.ndarray) -> np.ndarray:
-            out_rows = qgemm_fused(lhs, rhs_i32, rhs_zero, const_row,
-                                   mantissa, shift, out_qparams,
-                                   relu=relu, rhs_f64=rhs_f64)
+            out_rows = qgemm_fused(lhs, packed, rhs_zero, const_row,
+                                   requantizer)
             return _fold_gemm_output(out_rows, shape)
 
         return run
@@ -533,14 +543,17 @@ class _Lowering:
 
         def run(lhs: np.ndarray) -> np.ndarray:
             out_rows = _matmul_rows(lhs, matmul, chunk)
+            if quantized:
+                # Quantize the rows, then fold the uint8 codes: the
+                # store is elementwise, so it commutes with the fold.
+                assert out_qparams is not None
+                return _fold_gemm_output(
+                    quantize_store(out_rows, out_qparams, relu), shape)
             if half:
                 out_rows = out_rows.astype(np.float32)
             if relu:
                 out_rows = np.maximum(out_rows, 0.0)
             folded = _fold_gemm_output(out_rows, shape)
-            if quantized:
-                assert out_qparams is not None
-                return out_qparams.quantize(folded)
             if folded.dtype == storage_np:
                 return folded
             return folded.astype(storage_np)
@@ -652,10 +665,8 @@ class _Lowering:
         bias_i32 = quantize_bias(bias, x_qparams.scale, w_qparams.scale)
         out_qparams = self.qparams[name]
         assert out_qparams is not None
-        mantissa, shift = prepare_requantize(
-            x_qparams.scale, w_qparams.scale, out_qparams)
-        relu = layer.relu
-        zero_code = np.uint8(out_qparams.zero_point)
+        requantizer = Requantizer.prepare(
+            x_qparams.scale, w_qparams.scale, out_qparams, layer.relu)
         shape = self._part_shape(layer, rng)
 
         def run(centered: np.ndarray) -> np.ndarray:
@@ -667,12 +678,8 @@ class _Lowering:
             # accumulator bit for bit, and the requantized codes are
             # byte-identical by construction, not by measurement.
             acc = np.matmul(w64, centered).astype(np.int32)
-            acc = acc + bias_i32[None, :, None]
-            codes = requantize_prepared(acc, mantissa, shift,
-                                        out_qparams)
-            if relu:
-                codes = np.maximum(codes, zero_code)
-            return codes.reshape(shape)
+            acc += bias_i32[None, :, None]
+            return requantizer(acc).reshape(shape)
 
         return run
 
@@ -703,13 +710,16 @@ class _Lowering:
         def run(lhs: np.ndarray) -> np.ndarray:
             rows = np.matmul(w32, lhs) + bias32[:, None]
             if half:
-                rows = rows.astype(np.float16).astype(np.float32)
+                rows = rows.astype(np.float16)
+            if quantized:
+                assert out_qparams is not None
+                return quantize_store(rows, out_qparams,
+                                      relu).reshape(shape)
+            if half:
+                rows = rows.astype(np.float32)
             if relu:
                 rows = np.maximum(rows, 0.0)
             out = rows.reshape(shape)
-            if quantized:
-                assert out_qparams is not None
-                return out_qparams.quantize(out)
             if out.dtype == storage_np:
                 return out
             return out.astype(storage_np)
@@ -855,20 +865,14 @@ class _Lowering:
                                        w_qparams.zero_point)
             bias_i32 = quantize_bias(bias, x_qparams.scale,
                                      w_qparams.scale).reshape(-1, 1, 1)
-            mantissa, shift = prepare_requantize(
-                x_qparams.scale, w_qparams.scale, out_qparams)
+            requantizer = Requantizer.prepare(
+                x_qparams.scale, w_qparams.scale, out_qparams, relu)
             x_zero = x_qparams.zero_point
-            zero_code = np.uint8(out_qparams.zero_point)
 
             def run_int(x: np.ndarray) -> np.ndarray:
-                acc = depthwise_direct(x[:, lo:hi], taps, bias_i32,
-                                       layer.kernel, layer.stride,
-                                       layer.padding, x_zero)
-                codes = requantize_prepared(acc, mantissa, shift,
-                                            out_qparams)
-                if relu:
-                    np.maximum(codes, zero_code, out=codes)
-                return codes
+                return requantizer(depthwise_direct(
+                    x[:, lo:hi], taps, bias_i32, layer.kernel,
+                    layer.stride, layer.padding, x_zero))
 
             return None, rng, run_int
 
@@ -897,14 +901,16 @@ class _Lowering:
             out = np.einsum("npk,nk->np", columns, filters)
             out = out.reshape(batch, channels, out_h, out_w)
             out = out + bias[None, :, None, None]
+            if self.storage is DType.QUINT8:
+                assert out_qparams is not None
+                return quantize_store(
+                    out.astype(np.float16 if half else np.float32,
+                               copy=False), out_qparams, relu)
             if half:
                 out = out.astype(np.float16).astype(np.float32)
             if relu:
                 out = np.maximum(out, 0.0)
             out = out.astype(np.float32)
-            if self.storage is DType.QUINT8:
-                assert out_qparams is not None
-                return out_qparams.quantize(out)
             if out.dtype == storage_np:
                 return out
             return out.astype(storage_np)

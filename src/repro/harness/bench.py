@@ -40,6 +40,7 @@ from ..runtime.pfq import (PROCESSOR_FRIENDLY, QuantizationPolicy,
 from .timing import min_time_ms
 
 if TYPE_CHECKING:   # pragma: no cover - typing only (avoids a cycle)
+    from ..compile import CompiledProgram
     from ..runtime.plan import ExecutionPlan
 
 #: The policies the benchmark exercises, processor-friendly first (the
@@ -98,12 +99,15 @@ def _matched_split_plan(graph: Graph,
 
 def _bench_compiled(graph: Graph, calibration: CalibrationTable,
                     policy: QuantizationPolicy, x: np.ndarray,
-                    repeats: int, reference: bytes) -> Dict[str, float]:
+                    repeats: int, reference: bytes
+                    ) -> "Tuple[Dict[str, float], CompiledProgram]":
     """Compiled timing of one (model, policy) cell.
 
     Lowers the matched 0.5-split plan, asserts the program's output is
     byte-identical to ``reference`` (the uncached interpreter's), and
-    times steady-state arena runs (min over ``repeats``).
+    times steady-state arena runs (min over ``repeats``).  Returns the
+    cell and the program, which :func:`_bench_autotuned` reuses as its
+    untuned baseline.
     """
     from ..compile import compile_program
 
@@ -126,30 +130,29 @@ def _bench_compiled(graph: Graph, calibration: CalibrationTable,
         "compile_ms": compile_ms,
         "compiled_ms": compiled_ms,
         "arena_bytes": float(program.arena.arena_bytes),
-    }
+    }, program
 
 
 def _bench_autotuned(graph: Graph, calibration: CalibrationTable,
-                     policy: QuantizationPolicy, x: np.ndarray,
+                     baseline: "CompiledProgram", x: np.ndarray,
                      repeats: int, reference: bytes
                      ) -> "Tuple[Dict[str, float], Dict[str, int]]":
     """Autotuned-vs-untuned compiled timing of one (model, policy)
     cell.
 
-    Compiles the matched 0.5-split plan twice -- once untuned, once
-    through a fresh in-memory :class:`~repro.tune.Tuner` (no on-disk
-    or cross-cell state) -- asserts both programs byte-identical to
-    ``reference`` (the uncached interpreter output), and times their
-    steady-state runs back-to-back so the quoted speedup is not
-    polluted by drift between benchmark phases.  Returns the cell and
-    the tuned program's kernel-variant histogram.
+    Compiles ``baseline``'s plan (the untuned program
+    :func:`_bench_compiled` lowered) again through a fresh in-memory
+    :class:`~repro.tune.Tuner` (no on-disk or cross-cell state),
+    asserts both programs byte-identical to ``reference`` (the
+    uncached interpreter output), and times their steady-state runs
+    back-to-back so the quoted speedup is not polluted by drift
+    between benchmark phases.  Returns the cell and the tuned
+    program's kernel-variant histogram.
     """
     from ..compile import compile_program
     from ..tune import Tuner
 
-    plan = _matched_split_plan(graph, policy)
-    baseline = compile_program(graph, plan, calibration,
-                               mechanism="bench")
+    plan = baseline.plan
     tuner = Tuner(repeats=max(3, repeats))
     tune_ms, tuned = min_time_ms(
         lambda: compile_program(graph, plan, calibration,
@@ -228,11 +231,11 @@ def run_bench(models: Optional[Sequence[str]] = None, repeats: int = 3,
             cell_name = f"{model}/{policy_name}"
             reference = _interpreted_output(graph, calibration, policy,
                                             x)
-            compiled_cells[cell_name] = _bench_compiled(
+            compiled_cells[cell_name], program = _bench_compiled(
                 graph, calibration, policy, x, repeats, reference)
             if autotune:
                 acell, histogram = _bench_autotuned(
-                    graph, calibration, policy, x, repeats, reference)
+                    graph, calibration, program, x, repeats, reference)
                 autotuned_cells[cell_name] = acell
                 for variant, count in histogram.items():
                     autotuned_variants[variant] = (

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from ..quant.linear import requantize, requantize_prepared
+from ..quant.linear import Requantizer, requantize
 from ..tensor import QuantParams
 
 
@@ -116,24 +116,22 @@ def fused_const_row(rhs_i32: np.ndarray, lhs_zero: int, rhs_zero: int,
 EXACT_GEMM_MAX_DEPTH = (2 ** 31 - 1) // (255 * 255)
 
 
-def qgemm_fused(lhs_q: np.ndarray, rhs_i32: np.ndarray, rhs_zero: int,
-                const_row: np.ndarray, mantissa: int, shift: int,
-                output_params: QuantParams,
-                relu: bool = False,
-                rhs_f64: "np.ndarray | None" = None) -> np.ndarray:
+def qgemm_fused(lhs_q: np.ndarray, rhs: np.ndarray, rhs_zero: int,
+                const_row: np.ndarray,
+                requantizer: Requantizer) -> np.ndarray:
     """Fully fused quantized GEMM: one matmul plus epilogue.
 
     The compiled execution path's integer kernel: all weight-side
-    operands are pre-packed (``rhs_i32`` widened once,
+    operands are pre-packed (``rhs`` widened once,
     :func:`fused_const_row` folding bias and zero-point terms, the
-    requantization multiplier pre-decomposed via
-    :func:`~repro.quant.linear.prepare_requantize`), leaving a single
-    integer matmul, the activation-side row-sum correction, the
-    fixed-point requantization, and the fused ReLU clamp.
+    requantization epilogue prepared as a
+    :class:`~repro.quant.linear.Requantizer`, ReLU included), leaving
+    a single integer matmul, the activation-side row-sum correction
+    and the epilogue, which consumes the fresh accumulator in place.
 
-    When the caller supplies ``rhs_f64`` (the weight codes pre-widened
-    to float64) the raw product matmul runs through BLAS dgemm instead
-    of numpy's generic integer loop.  This is *exact*, not
+    ``rhs`` holds the weight codes widened to int32, or to float64 so
+    the raw product matmul runs through BLAS dgemm instead of numpy's
+    generic integer loop.  The float64 form is *exact*, not
     approximate: for ``depth <= EXACT_GEMM_MAX_DEPTH`` every partial
     sum of uint8 x uint8 products is an integer below 2**31 < 2**53,
     so each f64 addition is performed without rounding regardless of
@@ -143,22 +141,21 @@ def qgemm_fused(lhs_q: np.ndarray, rhs_i32: np.ndarray, rhs_zero: int,
     Byte-identical to :func:`qgemm` over the same operands: the whole
     pipeline stays in wrapping int32 arithmetic (sums, products, and
     additions all agree with the int64-then-truncate formulation
-    modulo 2^32 by associativity), and the epilogue is the identical
-    expression.
+    modulo 2^32 by associativity), and the epilogue is
+    :func:`~repro.quant.linear.requantize_prepared`'s, exactly.
     """
-    if rhs_f64 is not None:
-        raw = (lhs_q.astype(np.float64) @ rhs_f64).astype(np.int32)
+    if rhs.dtype == np.float64:
+        acc = (lhs_q.astype(np.float64) @ rhs).astype(np.int32)
         lhs_sums = np.sum(lhs_q, axis=-1, keepdims=True,
                           dtype=np.int32)
     else:
         lhs_i32 = lhs_q.astype(np.int32)
-        raw = lhs_i32 @ rhs_i32
+        acc = lhs_i32 @ rhs
         lhs_sums = lhs_i32.sum(axis=-1, keepdims=True, dtype=np.int32)
-    acc = raw - np.int32(rhs_zero) * lhs_sums + const_row
-    out = requantize_prepared(acc, mantissa, shift, output_params)
-    if relu:
-        out = np.maximum(out, np.uint8(output_params.zero_point))
-    return out
+    lhs_sums *= np.int32(rhs_zero)
+    acc -= lhs_sums
+    acc += const_row
+    return requantizer(acc)
 
 
 def qgemm(lhs_q: np.ndarray, lhs_params: QuantParams, rhs_q: np.ndarray,
