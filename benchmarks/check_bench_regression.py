@@ -1,32 +1,14 @@
-"""Fail CI when a fresh benchmark run regresses against its baseline.
+"""Fail CI when a fresh simulated-time benchmark regresses against its
+committed baseline.
 
 Usage::
 
-    python benchmarks/check_bench_regression.py BASELINE FRESH \
-        [--threshold 1.25] \
-        [--serve-batch-baseline B --serve-batch-fresh F]
+    python benchmarks/check_bench_regression.py [--threshold 1.25] \
+        [--serve-batch-baseline B --serve-batch-fresh F] \
+        [--fleet-baseline B --fleet-fresh F]
 
-Compares the committed wall-clock baseline (``BENCH_e2e.json``)
-against a freshly generated run and exits non-zero when:
-
-* the serial sweep time (``sweep.serial_s``) grew by more than the
-  threshold factor;
-* when both runs carry a ``compiled`` block: compiled total time
-  (``compiled.summary.compiled_total_ms``) grew by more than the
-  threshold factor.  Runs without the block (``--models`` naming no
-  mini model) skip this gate with a notice.
-* when the fresh run carries an ``autotuned`` block (the
-  profile-guided kernel-variant path; byte-identity against the
-  interpreter output is asserted inside the benchmark itself): the
-  geometric-mean speedup of the tuned programs over the untuned
-  compiled baseline must clear an absolute floor of 1.05x (with the
-  usual threshold headroom for machine noise), and both the geomean
-  speedup and the tuned total time are ratio-gated against the
-  baseline run.  Runs without the block (``--no-autotune``) skip
-  these gates with a notice.
-
-With ``--serve-batch-baseline/--serve-batch-fresh`` it additionally
-gates the serving-throughput benchmark (``BENCH_serve_batch.json``):
+With ``--serve-batch-baseline/--serve-batch-fresh`` it gates the
+serving-throughput benchmark (``BENCH_serve_batch.json``):
 
 * at the peak (overload) arrival rate, fresh throughput must rise
   strictly monotonically with the batch-size cap -- the point of
@@ -44,10 +26,9 @@ benchmark (``BENCH_fleet_scale.json``) the same way:
 * fresh p99 latency per cell must not grow past the threshold factor.
 
 Serving and cluster numbers come from simulated time, so they are
-bit-stable across runners -- the threshold there only absorbs
-intentional timing-model changes, not machine noise.  Any gate may run
-alone: the e2e positionals are optional when either named pair is
-given.
+bit-stable across runners -- the threshold only absorbs
+intentional timing-model changes, not machine noise.  Either pair
+may run alone; at least one is required.
 """
 
 from __future__ import annotations
@@ -81,79 +62,6 @@ def _peak_cells(results: dict) -> "dict[int, dict]":
     peak = results["peak_load"]
     return {int(cell["max_batch"]): cell
             for cell in results["sweep"] if cell["load"] == peak}
-
-
-def _check_e2e(baseline: dict, fresh: dict, threshold: float) -> bool:
-    """The wall-clock gates; returns True when anything regressed."""
-    print(f"bench regression check (threshold {threshold:.2f}x):")
-    regressed = _check("sweep.serial_s",
-                       baseline["sweep"]["serial_s"],
-                       fresh["sweep"]["serial_s"],
-                       threshold, lower_is_better=True)
-    baseline_compiled = baseline.get("compiled")
-    fresh_compiled = fresh.get("compiled")
-    if baseline_compiled is None or fresh_compiled is None:
-        missing = ("baseline" if baseline_compiled is None else "fresh")
-        print(f"  compiled gates skipped: {missing} run has no "
-              "compiled block")
-        return regressed
-    regressed |= _check("compiled.compiled_total_ms",
-                        baseline_compiled["summary"]["compiled_total_ms"],
-                        fresh_compiled["summary"]["compiled_total_ms"],
-                        threshold, lower_is_better=True)
-    regressed |= _check_autotuned(baseline.get("autotuned"),
-                                  fresh.get("autotuned"), threshold)
-    return regressed
-
-
-#: The autotuner must buy at least this geometric-mean speedup over
-#: the untuned compiled baseline across the mini-zoo cells.
-AUTOTUNE_GEOMEAN_FLOOR = 1.05
-
-
-def _check_autotuned(baseline: "dict | None", fresh: "dict | None",
-                     threshold: float) -> bool:
-    """The autotuning gates; True when anything regressed."""
-    if fresh is None:
-        print("  autotuned gates skipped: fresh run has no autotuned "
-              "block")
-        return False
-    regressed = False
-    geomean = fresh["summary"]["geomean_speedup"]
-    # Absolute floor with the usual threshold headroom: the committed
-    # baseline is held to the full 1.05x (benchmarks/
-    # test_wallclock_e2e.py), the CI runner only to the floor scaled
-    # down by the noise allowance.
-    floor = 1.0 + (AUTOTUNE_GEOMEAN_FLOOR - 1.0) / threshold
-    ok = geomean >= floor
-    print(f"  autotuned.geomean_speedup: {geomean:.3f}x "
-          f"(floor {floor:.3f}x from {AUTOTUNE_GEOMEAN_FLOOR:.2f}x "
-          f"absolute) -- {'ok' if ok else 'REGRESSED'}")
-    regressed |= not ok
-    variants = fresh.get("variants", {})
-    chosen = {name: count for name, count in variants.items()
-              if name != "reference"}
-    if not chosen:
-        print("  autotuned.variants: no non-reference variant chosen "
-              "anywhere -- REGRESSED")
-        regressed = True
-    else:
-        summary = ", ".join(f"{name} x{count}"
-                            for name, count in sorted(chosen.items()))
-        print(f"  autotuned.variants: {summary}")
-    if baseline is None:
-        print("  autotuned ratio gates skipped: baseline run has no "
-              "autotuned block")
-        return regressed
-    regressed |= _check("autotuned.geomean_speedup",
-                        baseline["summary"]["geomean_speedup"],
-                        fresh["summary"]["geomean_speedup"],
-                        threshold, lower_is_better=False)
-    regressed |= _check("autotuned.autotuned_total_ms",
-                        baseline["summary"]["autotuned_total_ms"],
-                        fresh["summary"]["autotuned_total_ms"],
-                        threshold, lower_is_better=True)
-    return regressed
 
 
 def _check_serve_batch(baseline: dict, fresh: dict,
@@ -240,10 +148,6 @@ def _check_fleet(baseline: dict, fresh: dict, threshold: float) -> bool:
 
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("baseline", nargs="?", default=None,
-                        help="committed BENCH_e2e.json")
-    parser.add_argument("fresh", nargs="?", default=None,
-                        help="freshly generated BENCH_e2e.json")
     parser.add_argument("--threshold", type=float, default=1.25,
                         help="allowed regression factor (default 1.25 "
                              "= 25%%)")
@@ -260,8 +164,6 @@ def main(argv: "list[str] | None" = None) -> int:
                         metavar="PATH",
                         help="freshly generated BENCH_fleet_scale.json")
     args = parser.parse_args(argv)
-    if (args.baseline is None) != (args.fresh is None):
-        parser.error("baseline and fresh must be given together")
     if (args.serve_batch_baseline is None) != (args.serve_batch_fresh
                                                is None):
         parser.error("--serve-batch-baseline and --serve-batch-fresh "
@@ -269,19 +171,11 @@ def main(argv: "list[str] | None" = None) -> int:
     if (args.fleet_baseline is None) != (args.fleet_fresh is None):
         parser.error("--fleet-baseline and --fleet-fresh must be "
                      "given together")
-    if (args.baseline is None and args.serve_batch_baseline is None
-            and args.fleet_baseline is None):
-        parser.error("nothing to check: give the e2e positionals, the "
-                     "--serve-batch-* pair, the --fleet-* pair, or "
-                     "any combination")
+    if args.serve_batch_baseline is None and args.fleet_baseline is None:
+        parser.error("nothing to check: give the --serve-batch-* pair, "
+                     "the --fleet-* pair, or both")
 
     regressed = False
-    if args.baseline is not None:
-        with open(args.baseline) as handle:
-            baseline = json.load(handle)
-        with open(args.fresh) as handle:
-            fresh = json.load(handle)
-        regressed |= _check_e2e(baseline, fresh, args.threshold)
     if args.serve_batch_baseline is not None:
         with open(args.serve_batch_baseline) as handle:
             serve_baseline = json.load(handle)

@@ -13,15 +13,16 @@ Commands:
 * ``cluster`` -- simulate a cluster of device pools behind a router,
   with replica placement, autoscaling, and trace-driven workloads.
 * ``figure`` -- regenerate one of the paper's figures.
-* ``bench`` -- wall-clock benchmark of the compiled fused path, the
-  autotuned path, and the sweep harness; writes ``BENCH_e2e.json``.
+* ``bench`` -- one simulated-time benchmark, ``--serve-batch``
+  (serving throughput vs. batch cap) or ``--fleet`` (SLO attainment
+  vs. fleet size); wall-clock performance is perfbench's
+  (``BENCHMARK.json``).
 
 ``run`` and ``verify`` accept ``--compiled`` (run the compiled fused
-execution path / prove it consistent, rule PV012);
-``bench`` always times it.
+execution path / prove it consistent, rule PV012).
 ``run``, ``compare``, ``verify``, ``serve``, ``cluster``, and
 ``bench`` all accept ``--json`` for machine-readable output.
-``verify``, ``figure``, ``serve``, ``cluster``, and ``bench`` accept
+``verify``, ``figure``, ``serve``, and ``cluster`` accept
 ``--jobs N`` to fan independent sweep units across a process pool
 (results are deterministic either way); the default is the CPU count
 capped at 8.
@@ -333,48 +334,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="wall-clock benchmark of compiled execution and sweeps")
+        help="simulated-time benchmark of the serving or cluster tier")
     bench.add_argument("--models", default=None,
                        help="comma-separated models; each entry may "
                             "be a glob over the registered zoo, e.g. "
-                            "'*_mini' or 'vgg*' (default: the mini "
-                            "zoo, plus alexnet in the verify sweep)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="timed inferences per (model, policy) "
-                            "cell (default 3)")
-    bench.add_argument("--jobs", type=int,
-                       default=default_cli_jobs(), metavar="N",
-                       help="process count for the verify-sweep "
-                            "timing (default: CPU count capped at 8; "
-                            "1 = serial)")
+                            "'*_mini' or 'vgg*' (default: vgg_mini "
+                            "for --serve-batch, mobilenet_mini and "
+                            "squeezenet_mini for --fleet)")
     bench.add_argument("--output", default=None, metavar="PATH",
                        help="write the results as JSON to PATH "
-                            "(e.g. BENCH_e2e.json)")
+                            "(e.g. BENCH_serve_batch.json)")
     bench.add_argument("--json", action="store_true",
                        help="print the results as JSON")
-    bench.add_argument("--autotune", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="benchmark the autotuned compiled path "
-                            "against the untuned compiled baseline "
-                            "and emit the 'autotuned' block (fresh "
-                            "in-memory tuner, byte-identity asserted; "
-                            "default on; --no-autotune skips it)")
-    bench.add_argument("--serve-batch", action="store_true",
-                       help="run the serving-throughput benchmark "
-                            "instead: batch size x arrival rate sweep "
-                            "under the dynamic batching scheduler "
-                            "(simulated time; e.g. --output "
-                            "BENCH_serve_batch.json)")
+    which = bench.add_mutually_exclusive_group(required=True)
+    which.add_argument("--serve-batch", action="store_true",
+                       help="serving-throughput benchmark: batch size "
+                            "x arrival rate sweep under the dynamic "
+                            "batching scheduler (simulated time; e.g. "
+                            "--output BENCH_serve_batch.json)")
+    which.add_argument("--fleet", action="store_true",
+                       help="fleet-scaling benchmark: SLO attainment "
+                            "and p99 vs fleet size per router policy "
+                            "on one fixed trace (simulated time; e.g. "
+                            "--output BENCH_fleet_scale.json)")
     bench.add_argument("--serve-requests", type=int, default=None,
                        metavar="N",
                        help="with --serve-batch: requests per sweep "
                             "cell (default 128)")
-    bench.add_argument("--fleet", action="store_true",
-                       help="run the fleet-scaling benchmark instead: "
-                            "SLO attainment and p99 vs fleet size per "
-                            "router policy on one fixed trace "
-                            "(simulated time; e.g. --output "
-                            "BENCH_fleet_scale.json)")
     bench.add_argument("--fleet-requests", type=int, default=None,
                        metavar="N",
                        help="with --fleet: requests in the reference "
@@ -1017,45 +1003,25 @@ def _expand_model_globs(text: str) -> List[str]:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .harness.bench import render_bench, run_bench
+    from .harness.bench import (render_fleet_bench,
+                                render_serve_batch_bench,
+                                run_fleet_bench, run_serve_batch_bench)
     models = _expand_model_globs(args.models) if args.models else None
+    kwargs: Dict[str, object] = {}
     if args.fleet:
-        from .harness.bench import render_fleet_bench, run_fleet_bench
-        fleet_kwargs: Dict[str, object] = {}
         if models:
-            fleet_kwargs["models"] = tuple(models)
+            kwargs["models"] = tuple(models)
         if args.fleet_requests is not None:
-            fleet_kwargs["num_requests"] = args.fleet_requests
-        results = run_fleet_bench(**fleet_kwargs)
-        if args.output:
-            with open(args.output, "w") as handle:
-                json.dump(results, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-        if args.json:
-            print(json.dumps(results, indent=2, sort_keys=True))
-        else:
-            print(render_fleet_bench(results))
-        return 0
-    if args.serve_batch:
-        from .harness.bench import (render_serve_batch_bench,
-                                    run_serve_batch_bench)
-        serve_kwargs: Dict[str, object] = {}
+            kwargs["num_requests"] = args.fleet_requests
+        results = run_fleet_bench(**kwargs)
+        render = render_fleet_bench
+    else:
         if models:
-            serve_kwargs["model"] = models[0]
+            kwargs["model"] = models[0]
         if args.serve_requests is not None:
-            serve_kwargs["num_requests"] = args.serve_requests
-        results = run_serve_batch_bench(**serve_kwargs)
-        if args.output:
-            with open(args.output, "w") as handle:
-                json.dump(results, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-        if args.json:
-            print(json.dumps(results, indent=2, sort_keys=True))
-        else:
-            print(render_serve_batch_bench(results))
-        return 0
-    results = run_bench(models=models, repeats=args.repeats,
-                        jobs=args.jobs, autotune=args.autotune)
+            kwargs["num_requests"] = args.serve_requests
+        results = run_serve_batch_bench(**kwargs)
+        render = render_serve_batch_bench
     if args.output:
         with open(args.output, "w") as handle:
             json.dump(results, handle, indent=2, sort_keys=True)
@@ -1063,7 +1029,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(results, indent=2, sort_keys=True))
     else:
-        print(render_bench(results))
+        print(render(results))
     return 0
 
 

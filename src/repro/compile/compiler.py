@@ -995,7 +995,7 @@ class _Lowering:
                 return np.concatenate(parts, axis=axis)
             return fn
         # ADD / SOFTMAX / LRN: dequantize (one table gather per input),
-        # float reference, requantize.
+        # float reference, requantize in place.
         assert out_qparams is not None
         tables = []
         for qp in in_qps:
@@ -1005,7 +1005,8 @@ class _Lowering:
         def fn(inputs: List[np.ndarray]) -> np.ndarray:
             values = [table[a]
                       for a, table in zip(inputs, tables)]
-            return out_qparams.quantize(layer.forward_f32(values))
+            return quantize_store(layer.forward_f32(values),
+                                  out_qparams)
         return fn
 
     # -- inputs ---------------------------------------------------------------
@@ -1017,7 +1018,8 @@ class _Lowering:
             assert qp is not None
 
             def seed(data: np.ndarray) -> np.ndarray:
-                return qp.quantize(np.asarray(data, dtype=np.float32))
+                return quantize_store(
+                    np.asarray(data, dtype=np.float32), qp)
         else:
             storage_np = self.storage.numpy_dtype
 

@@ -1,298 +1,24 @@
-"""Wall-clock benchmark of the compiled path and the sweep harness.
+"""Simulated-time benchmarks of the serving and cluster tiers.
 
-Measures what the compiled fused path, the autotuner and the
-process-pool harness cost, in seconds, and emits the numbers as
-``BENCH_e2e.json`` so the perf trajectory is tracked across PRs:
+Two sweeps whose numbers come from the executor's deterministic timing
+model, not from the host's clock, so they are bit-stable across
+machines and CI gates on them with
+``benchmarks/check_bench_regression.py``:
 
-* **compiled** -- the compiled fused path (``repro.compile``) on every
-  mini-model cell, on the matched 0.5-split plan, byte-identity
-  against the uncached interpreter asserted before and after timing.
-* **autotuned** -- the autotuned compiled path (``repro.tune``: a
-  fresh in-memory tuner per cell, no on-disk state) against the
-  untuned compiled baseline, both compiled from the same matched plan
-  and timed back-to-back, byte-identity against the interpreter
-  asserted before and after timing.  The block records the per-cell
-  speedups, a kernel-variant histogram over all tuned programs, and
-  the geometric-mean speedup CI gates on.
-* **sweep** -- the static verification sweep over the benchmarked
-  models, serial versus ``jobs`` processes.
+* :func:`run_serve_batch_bench` -- serving throughput and tail latency
+  versus dynamic-batching cap and arrival rate
+  (``BENCH_serve_batch.json``).
+* :func:`run_fleet_bench` -- SLO attainment and tail latency versus
+  fleet size per router policy on one fixed diurnal trace
+  (``BENCH_fleet_scale.json``).
 
-All timings go through :func:`~repro.harness.timing.min_time_ms` --
-run the leg ``repeats`` times, keep the *minimum* (robust to scheduler
-noise on shared machines).  The benchmark is sized to run in well
-under a minute so CI can afford it as a smoke job.
+Wall-clock performance is measured by perfbench (``BENCHMARK.json``)
+alone.
 """
 
 from __future__ import annotations
 
-import math
-import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
-
-from ..models import MINI_MODELS, build_model
-from ..nn import Graph, calibrate_graph
-from ..quant.calibrate import CalibrationTable
-from ..runtime.compute import LayerComputer
-from ..runtime.pfq import (PROCESSOR_FRIENDLY, QuantizationPolicy,
-                           UNIFORM_F16, UNIFORM_F32, UNIFORM_QUINT8)
-from .timing import min_time_ms
-
-if TYPE_CHECKING:   # pragma: no cover - typing only (avoids a cycle)
-    from ..compile import CompiledProgram
-    from ..runtime.plan import ExecutionPlan
-
-#: The policies the benchmark exercises, processor-friendly first (the
-#: paper's mechanism).
-BENCH_POLICIES: Dict[str, QuantizationPolicy] = {
-    "pfq": PROCESSOR_FRIENDLY,
-    "quint8": UNIFORM_QUINT8,
-    "f16": UNIFORM_F16,
-    "f32": UNIFORM_F32,
-}
-
-#: The default verification-sweep models: the mini zoo plus AlexNet,
-#: the 78-cell workload the committed ``sweep`` baseline was timed on.
-_DEFAULT_SWEEP_MODELS = MINI_MODELS + ("alexnet",)
-
-
-def _interpreted_output(graph: Graph, calibration: CalibrationTable,
-                        policy: QuantizationPolicy,
-                        x: np.ndarray) -> bytes:
-    """The uncached interpreter's output bytes under the matched
-    0.5-split placements (the reference every timed leg must
-    reproduce)."""
-    computer = LayerComputer(graph, policy, calibration)
-    input_name = graph.input_layers()[0]
-    values = {input_name: computer.input_tensor(input_name, x)}
-    for name in graph.compute_layers():
-        inputs = [values[p] for p in graph.inputs_of(name)]
-        if graph.layer(name).supports_channel_split:
-            values[name] = computer.run_cooperative(name, inputs, 0.5)
-        else:
-            values[name] = computer.run_full(name, inputs, "cpu")
-    return values[graph.output_layers()[0]].data.tobytes()
-
-
-def _matched_split_plan(graph: Graph,
-                        policy: QuantizationPolicy) -> ExecutionPlan:
-    """The plan equivalent of :func:`_interpreted_output`'s
-    placements.
-
-    0.5 CPU/GPU cooperative split on every splittable layer, CPU for
-    the rest -- so the compiled program and the interpreter execute
-    the exact same per-layer pipelines and their outputs can be
-    asserted byte-identical.
-    """
-    from ..runtime.plan import ExecutionPlan, LayerAssignment
-
-    assignments = {}
-    for name in graph.compute_layers():
-        if graph.layer(name).supports_channel_split:
-            assignments[name] = LayerAssignment.cooperative(name, 0.5)
-        else:
-            assignments[name] = LayerAssignment.on_cpu(name)
-    return ExecutionPlan(graph_name=graph.name, policy=policy,
-                         assignments=assignments)
-
-
-def _bench_compiled(graph: Graph, calibration: CalibrationTable,
-                    policy: QuantizationPolicy, x: np.ndarray,
-                    repeats: int, reference: bytes
-                    ) -> "Tuple[Dict[str, float], CompiledProgram]":
-    """Compiled timing of one (model, policy) cell.
-
-    Lowers the matched 0.5-split plan, asserts the program's output is
-    byte-identical to ``reference`` (the uncached interpreter's), and
-    times steady-state arena runs (min over ``repeats``).  Returns the
-    cell and the program, which :func:`_bench_autotuned` reuses as its
-    untuned baseline.
-    """
-    from ..compile import compile_program
-
-    plan = _matched_split_plan(graph, policy)
-    compile_ms, program = min_time_ms(
-        lambda: compile_program(graph, plan, calibration,
-                                mechanism="bench"), 1)
-    output = graph.output_layers()[0]
-    out = program.run(x, keep="outputs")[output]
-    if out.data.tobytes() != reference:
-        raise AssertionError(
-            "compiled execution diverged from the interpreter output")
-    compiled_ms, out = min_time_ms(
-        lambda: program.run(x, keep="outputs")[output], repeats)
-    if out.data.tobytes() != reference:
-        raise AssertionError(
-            "steady-state compiled execution diverged from the "
-            "interpreter output")
-    return {
-        "compile_ms": compile_ms,
-        "compiled_ms": compiled_ms,
-        "arena_bytes": float(program.arena.arena_bytes),
-    }, program
-
-
-def _bench_autotuned(graph: Graph, calibration: CalibrationTable,
-                     baseline: "CompiledProgram", x: np.ndarray,
-                     repeats: int, reference: bytes
-                     ) -> "Tuple[Dict[str, float], Dict[str, int]]":
-    """Autotuned-vs-untuned compiled timing of one (model, policy)
-    cell.
-
-    Compiles ``baseline``'s plan (the untuned program
-    :func:`_bench_compiled` lowered) again through a fresh in-memory
-    :class:`~repro.tune.Tuner` (no on-disk or cross-cell state),
-    asserts both programs byte-identical to ``reference`` (the
-    uncached interpreter output), and times their steady-state runs
-    back-to-back so the quoted speedup is not polluted by drift
-    between benchmark phases.  Returns the cell and the tuned
-    program's kernel-variant histogram.
-    """
-    from ..compile import compile_program
-    from ..tune import Tuner
-
-    plan = baseline.plan
-    tuner = Tuner(repeats=max(3, repeats))
-    tune_ms, tuned = min_time_ms(
-        lambda: compile_program(graph, plan, calibration,
-                                mechanism="bench", tuner=tuner), 1)
-    output = graph.output_layers()[0]
-
-    def check(program, label: str) -> None:
-        out = program.run(x, keep="outputs")[output]
-        if out.data.tobytes() != reference:
-            raise AssertionError(
-                f"{label} execution diverged from the interpreter "
-                "output")
-
-    check(baseline, "compiled")
-    check(tuned, "autotuned")
-    compiled_ms, _ = min_time_ms(
-        lambda: baseline.run(x, keep="outputs")[output], repeats)
-    autotuned_ms, _ = min_time_ms(
-        lambda: tuned.run(x, keep="outputs")[output], repeats)
-    check(baseline, "steady-state compiled")
-    check(tuned, "steady-state autotuned")
-    cell = {
-        "tune_ms": tune_ms,
-        "compiled_ms": compiled_ms,
-        "autotuned_ms": autotuned_ms,
-        "speedup": (compiled_ms / autotuned_ms if autotuned_ms > 0
-                    else float("inf")),
-        "tuned_steps": float(tuner.timed),
-    }
-    return cell, tuned.variant_histogram()
-
-
-def run_bench(models: Optional[Sequence[str]] = None, repeats: int = 3,
-              jobs: Optional[int] = None,
-              policies: Optional[Sequence[str]] = None,
-              autotune: bool = True) -> Dict:
-    """The full benchmark; returns a JSON-ready dict.
-
-    Args:
-        models: models to time (default: the mini zoo, with
-            ``alexnet`` added to the verification sweep only).  The
-            compiled and autotuned legs run on the minis only; every
-            model joins the verification sweep.
-        repeats: timed inferences per (model, policy) cell.
-        jobs: process count for the parallel sweep timing; None skips
-            the parallel leg (the serial leg always runs).
-        policies: policy names from :data:`BENCH_POLICIES` (default:
-            all four).
-        autotune: also time the autotuned compiled path against the
-            untuned compiled baseline on every mini-model cell,
-            asserting byte-identity (the ``autotuned`` block of the
-            output).
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    chosen_models = (tuple(models) if models is not None
-                     else _DEFAULT_SWEEP_MODELS)
-    chosen = tuple(policies) if policies else tuple(BENCH_POLICIES)
-    rng = np.random.default_rng(0)
-
-    compiled_cells: Dict[str, Dict[str, float]] = {}
-    autotuned_cells: Dict[str, Dict[str, float]] = {}
-    autotuned_variants: Dict[str, int] = {}
-    for model in chosen_models:
-        # Compiling a full model re-packs its tens of millions of
-        # weights, which belongs to compile time, not to this
-        # smoke-sized benchmark.
-        if model not in MINI_MODELS:
-            continue
-        graph = build_model(model, with_weights=True)
-        shape = graph.infer_shapes()[graph.input_layers()[0]]
-        x = rng.standard_normal(shape).astype(np.float32)
-        calibration = calibrate_graph(graph, [x])
-        for policy_name in chosen:
-            policy = BENCH_POLICIES[policy_name]
-            cell_name = f"{model}/{policy_name}"
-            reference = _interpreted_output(graph, calibration, policy,
-                                            x)
-            compiled_cells[cell_name], program = _bench_compiled(
-                graph, calibration, policy, x, repeats, reference)
-            if autotune:
-                acell, histogram = _bench_autotuned(
-                    graph, calibration, program, x, repeats, reference)
-                autotuned_cells[cell_name] = acell
-                for variant, count in histogram.items():
-                    autotuned_variants[variant] = (
-                        autotuned_variants.get(variant, 0) + count)
-
-    sweep: Dict[str, float] = {}
-    from ..analysis.verify import verify_sweep
-    t0 = time.perf_counter()
-    serial_entries = verify_sweep(models=chosen_models)
-    sweep["serial_s"] = time.perf_counter() - t0
-    sweep["cells"] = float(len(serial_entries))
-    if jobs is not None and jobs != 1:
-        t0 = time.perf_counter()
-        parallel_entries = verify_sweep(models=chosen_models, jobs=jobs)
-        sweep["parallel_s"] = time.perf_counter() - t0
-        sweep["jobs"] = float(jobs)
-        if [(e.model, e.soc, e.mechanism) for e in parallel_entries] != \
-                [(e.model, e.soc, e.mechanism) for e in serial_entries]:
-            raise AssertionError(
-                "parallel sweep order diverged from serial")
-
-    results: Dict = {
-        "schema": 1,
-        "repeats": repeats,
-        "sweep": sweep,
-    }
-    if compiled_cells:
-        results["compiled"] = {
-            "cells": compiled_cells,
-            "summary": {
-                "compiled_total_ms": sum(
-                    cell["compiled_ms"]
-                    for cell in compiled_cells.values()),
-            },
-        }
-    if autotuned_cells:
-        speedups = [cell["speedup"]
-                    for cell in autotuned_cells.values()
-                    if cell["speedup"] > 0
-                    and not math.isinf(cell["speedup"])]
-        geomean = (math.exp(sum(math.log(s) for s in speedups)
-                            / len(speedups)) if speedups
-                   else float("nan"))
-        results["autotuned"] = {
-            "cells": autotuned_cells,
-            "variants": autotuned_variants,
-            "summary": {
-                "compiled_total_ms": sum(
-                    cell["compiled_ms"]
-                    for cell in autotuned_cells.values()),
-                "autotuned_total_ms": sum(
-                    cell["autotuned_ms"]
-                    for cell in autotuned_cells.values()),
-                "geomean_speedup": geomean,
-            },
-        }
-    return results
+from typing import Dict, List, Optional, Sequence
 
 
 #: Batch-size axis of the serving-throughput benchmark.
@@ -527,49 +253,4 @@ def render_fleet_bench(results: Dict) -> str:
     text += (f"\n\nrate {results['sweep'][0]['rate_rps']:.1f} req/s = "
              f"{results['load_factor']:.1f}x the smallest fleet's "
              "capacity (simulated time)")
-    return text
-
-
-def render_bench(results: Dict) -> str:
-    """The benchmark results as a printable table."""
-    from .report import format_table
-    text = ""
-    compiled = results.get("compiled")
-    if compiled:
-        rows: List[List] = [
-            [cell_name, cell["compile_ms"], cell["compiled_ms"]]
-            for cell_name in sorted(compiled["cells"])
-            for cell in [compiled["cells"][cell_name]]]
-        text += format_table(
-            ["model/policy", "compile_ms", "compiled_ms"],
-            rows, title="compiled fused path")
-        text += (f"\n\ncompiled total "
-                 f"{compiled['summary']['compiled_total_ms']:.1f} ms")
-    autotuned = results.get("autotuned")
-    if autotuned:
-        rows = [[cell_name, cell["tune_ms"], cell["compiled_ms"],
-                 cell["autotuned_ms"], cell["speedup"],
-                 int(cell["tuned_steps"])]
-                for cell_name in sorted(autotuned["cells"])
-                for cell in [autotuned["cells"][cell_name]]]
-        text += "\n\n" + format_table(
-            ["model/policy", "tune_ms", "compiled_ms",
-             "autotuned_ms", "speedup", "tuned_steps"],
-            rows, title="autotuned compiled path vs untuned baseline")
-        asummary = autotuned["summary"]
-        variants = ", ".join(
-            f"{name} x{count}"
-            for name, count in sorted(autotuned["variants"].items()))
-        text += (f"\n\nautotuned total: untuned "
-                 f"{asummary['compiled_total_ms']:.1f} ms, tuned "
-                 f"{asummary['autotuned_total_ms']:.1f} ms, geomean "
-                 f"speedup {asummary['geomean_speedup']:.2f}x"
-                 f"\nvariants: {variants}")
-    sweep = results.get("sweep", {})
-    if "serial_s" in sweep:
-        text += (f"\nverify sweep ({int(sweep.get('cells', 0))} cells): "
-                 f"serial {sweep['serial_s']:.2f} s")
-        if "parallel_s" in sweep:
-            text += (f", {int(sweep['jobs'])} jobs "
-                     f"{sweep['parallel_s']:.2f} s")
     return text

@@ -1,11 +1,9 @@
-"""Min-of-repeats wall-clock timing, shared by bench and the tuner.
+"""Min-of-repeats wall-clock timing for the kernel autotuner.
 
-One tiny helper so every wall-clock measurement in the repo -- the
-end-to-end benchmark harness (:mod:`repro.harness.bench`) and the
-kernel autotuner (:mod:`repro.tune`) -- uses the identical discipline:
-run the callable ``repeats`` times and keep the *minimum*, which is
-the noise-robust estimator for a deterministic workload (anything
-above the minimum is interference, not work).
+:mod:`repro.tune` times each candidate lowering with
+:func:`min_time_ms`: run the callable ``repeats`` times and keep the
+*minimum*, which is the noise-robust estimator for a deterministic
+workload (anything above the minimum is interference, not work).
 """
 
 from __future__ import annotations

@@ -84,8 +84,8 @@ class TuneCache:
 
     Args:
         path: JSON file backing the cache.  ``None`` keeps the cache
-            in memory only (``save()`` is then a no-op) -- the bench
-            harness and tests use this so timing runs never leak state
+            in memory only (``save()`` is then a no-op) -- perfbench
+            and the tests use this so timing runs never leak state
             between each other.
 
     A stored file whose version or runtime fingerprint mismatches the

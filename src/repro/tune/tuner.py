@@ -14,8 +14,8 @@ tuner:
    a variant that changes even one output byte is discarded (the
    repo's identity invariant is the acceptance bar, not a tolerance);
 3. times the survivors min-of-repeats
-   (:func:`~repro.harness.timing.min_time_ms`, the bench harness's
-   estimator) and records the winner.
+   (:func:`~repro.harness.timing.min_time_ms`) and records the
+   winner.
 
 The tuner is compile-time machinery: once a variant is chosen, the
 compiled step runs it unconditionally and the program's serial loop is

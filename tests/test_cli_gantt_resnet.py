@@ -1,5 +1,7 @@
 """Tests for the CLI, the Gantt renderer, and the ResNet models."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -64,7 +66,7 @@ class TestCli:
         ["verify", "nosuch", "exynos7420"],
         ["serve", "--models", "nosuch", "--requests", "5"],
         ["cluster", "--models", "nosuch", "--requests", "5"],
-        ["bench", "--models", "nosuch"],
+        ["bench", "--fleet", "--models", "nosuch"],
     ], ids=lambda argv: argv[0])
     def test_unknown_model_is_a_usage_error(self, argv, capsys):
         assert main(argv) == 2
@@ -75,6 +77,25 @@ class TestCli:
         assert lines[0].startswith(
             "unknown model 'nosuch'; known models: ")
         assert "vgg_mini" in lines[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["bench"],
+        ["bench", "--serve-batch", "--fleet"],
+        ["bench", "--fleet", "--repeats", "3"],
+    ], ids=["bare", "both", "repeats"])
+    def test_bench_needs_exactly_one_sweep(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_bench_fleet_json(self, capsys):
+        assert main(["bench", "--fleet", "--fleet-requests", "200",
+                     "--json"]) == 0
+        results = json.loads(capsys.readouterr().out)
+        assert results["num_requests"] == 200
+        assert len(results["sweep"]) == (len(results["routers"])
+                                         * len(results["fleet_sizes"]))
 
     @pytest.mark.parametrize("argv", [
         ["run", "--model", "vgg_mini", "--soc", "nosuch"],

@@ -13,6 +13,10 @@ uncached interpreter's arithmetic:
 * F16 GEMM inputs gather the dequantization table over the input
   before im2col instead of over the column matrix.
 
+The ADD, SOFTMAX and LRN steps and the QUInt8 input seed store through
+:func:`quantize_store` too, so a compiled run never calls
+``QuantParams.quantize``.
+
 The full-model cases run the real programs against
 ``Executor(op_caches=False)``.
 """
@@ -23,17 +27,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.quant.linear as linear
+from repro.compile import compile_program
 from repro.kernels import im2col
 from repro.kernels.qgemm import EXACT_GEMM_MAX_DEPTH
 from repro.models import build_model
 from repro.nn import calibrate_graph
 from repro.quant import Requantizer, dequantize_lut, quantize_store
 from repro.quant.linear import FLOAT_REQUANTIZE_MAX_SHIFT
-from repro.runtime import MuLayer
+from repro.runtime import PROCESSOR_FRIENDLY, UNIFORM_QUINT8, MuLayer
 from repro.runtime.executor import Executor
 from repro.soc import EXYNOS_7420
 from repro.tensor import QuantParams
 
+from .test_compiled_identity import _split_plan
 from .test_quant_linear import exact_requantize
 
 INT32_MIN, INT32_MAX = -(1 << 31), (1 << 31) - 1
@@ -261,3 +267,38 @@ def test_full_model_pfq_matches_uncached_interpreter(model, monkeypatch):
         assert compiled[name].data.tobytes() == \
             interpreted.outputs[name].data.tobytes(), name
 
+
+#: Models whose float-reference steps the quantized store covers.
+FLOAT_REFERENCE_KINDS = {"alexnet_mini": {"lrn", "softmax"},
+                         "resnet_mini": {"add"}}
+
+
+@pytest.mark.parametrize("policy", [PROCESSOR_FRIENDLY, UNIFORM_QUINT8],
+                         ids=["pfq", "quint8"])
+@pytest.mark.parametrize("model", sorted(FLOAT_REFERENCE_KINDS))
+def test_compiled_run_never_calls_qparams_quantize(model, policy,
+                                                   monkeypatch):
+    """LRN, softmax, ADD and the input seed store through
+    ``quantize_store``; the bytes still match the uncached
+    interpreter, which keeps ``QuantParams.quantize``."""
+    graph = build_model(model)
+    shape = graph.infer_shapes()[graph.input_layers()[0]]
+    x = np.random.default_rng(11).standard_normal(shape).astype(
+        np.float32)
+    calibration = calibrate_graph(graph, [x])
+    plan = _split_plan(graph, policy)
+    program = compile_program(graph, plan, calibration)
+    assert FLOAT_REFERENCE_KINDS[model] <= {
+        step.kind for step in program.steps}
+
+    def forbidden(self, real):
+        raise AssertionError("QuantParams.quantize on the compiled path")
+
+    monkeypatch.setattr(QuantParams, "quantize", forbidden)
+    compiled = program.run(x, keep="outputs")
+    monkeypatch.undo()
+    interpreted = Executor(EXYNOS_7420).run(graph, plan, x=x,
+                                            calibration=calibration)
+    for name in graph.output_layers():
+        assert compiled[name].data.tobytes() == \
+            interpreted.outputs[name].data.tobytes(), name

@@ -4,8 +4,9 @@ The compiled execution path's correctness bar, mirroring the batching
 suite: running a graph through the lowered
 :class:`~repro.compile.program.CompiledProgram` must be *byte-identical*
 to the uncached per-layer interpreter -- for every mini-zoo model,
-three plan mechanisms (single-processor baseline, matched cooperative
-split, the partitioner's PFQ plan), and batch sizes 1 and 4; and for
+every plan mechanism (single-processor baseline, the matched 0.5
+cooperative split under each of the four policies, the partitioner's
+PFQ plan), and batch sizes 1 and 4; and for
 every layer shape (conv, FC, depthwise) under every policy (F32, F16,
 QUInt8, PFQ), placed whole or split between processors at even and
 uneven ratios.  The compiled path reproduces the interpreter's exact
@@ -27,7 +28,6 @@ from repro.runtime.executor import Executor
 from repro.runtime.plan import ExecutionPlan, LayerAssignment
 from repro.soc import EXYNOS_7420
 
-MECHANISMS = ("baseline", "split", "pfq")
 BATCHES = (1, 4)
 POLICIES = {
     "f32": UNIFORM_F32,
@@ -35,6 +35,10 @@ POLICIES = {
     "quint8": UNIFORM_QUINT8,
     "pfq": PROCESSOR_FRIENDLY,
 }
+#: The matched 0.5 split under each policy; plain ``split`` is F16.
+SPLIT_POLICIES = {"split": "f16", "split-f32": "f32",
+                  "split-quint8": "quint8", "split-pfq": "pfq"}
+MECHANISMS = ("baseline", *SPLIT_POLICIES, "pfq")
 
 
 def _split_plan(graph, policy, split=0.5):
@@ -53,8 +57,8 @@ def _split_plan(graph, policy, split=0.5):
 def _plan_for(graph, mechanism):
     if mechanism == "baseline":
         return single_processor_plan(graph, "cpu", UNIFORM_QUINT8)
-    if mechanism == "split":
-        return _split_plan(graph, UNIFORM_F16)
+    if mechanism in SPLIT_POLICIES:
+        return _split_plan(graph, POLICIES[SPLIT_POLICIES[mechanism]])
     assert mechanism == "pfq"
     return MuLayer(EXYNOS_7420, PROCESSOR_FRIENDLY).plan(graph)
 

@@ -3,12 +3,10 @@ benchmarks/)."""
 
 import pytest
 
-import repro.compile as compile_module
 from repro.harness import (ExperimentResult, build_inception_3a_graph,
                            fig12_branch_potential, format_bars,
                            format_table, normalized,
                            table1_applicability)
-from repro.harness.bench import run_bench
 from repro.soc import EXYNOS_7420
 
 
@@ -84,20 +82,3 @@ class TestFastFigures:
                 < latencies["cpu_only_quint8"])
         assert (latencies["cooperative_optimal_branches"]
                 < latencies["cooperative"])
-
-
-def test_bench_compiles_each_cell_once_untuned(monkeypatch):
-    """``repro bench`` lowers every cell's plan once untuned (the
-    compiled leg's program is the autotuned leg's baseline) and once
-    through the tuner."""
-    tuned = []
-    lower = compile_module.compile_program
-
-    def counting(*args, **kwargs):
-        tuned.append(kwargs.get("tuner") is not None)
-        return lower(*args, **kwargs)
-
-    monkeypatch.setattr(compile_module, "compile_program", counting)
-    run_bench(models=["squeezenet_mini"], repeats=1,
-              policies=["pfq", "f32"])
-    assert tuned == [False, True, False, True]

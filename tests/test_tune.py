@@ -21,6 +21,7 @@ import pytest
 
 from repro.analysis import verify_tuned_variants
 from repro.compile import compile_program
+from repro.models import MINI_MODELS, build_model
 from repro.nn import calibrate_graph
 from repro.runtime import (PROCESSOR_FRIENDLY, UNIFORM_F16, UNIFORM_F32,
                            UNIFORM_QUINT8)
@@ -38,7 +39,8 @@ POLICIES = {
 
 def _split_plan(graph, policy):
     """0.5 CPU/GPU cooperative split on every splittable layer --
-    the variant-rich configuration the bench harness times."""
+    the variant-rich configuration the tuner sees most candidates
+    on."""
     assignments = {}
     for name in graph.compute_layers():
         if graph.layer(name).supports_channel_split:
@@ -52,6 +54,18 @@ def _split_plan(graph, policy):
 def _input(graph, rng, batch=1):
     shape = (batch,) + graph.infer_shapes()[graph.input_layers()[0]][1:]
     return rng.standard_normal(shape).astype(np.float32)
+
+
+@pytest.fixture(scope="module")
+def tune_zoo():
+    """Every mini model with weights and a calibration table."""
+    rng = np.random.default_rng(20190325)
+    cells = {}
+    for model in MINI_MODELS:
+        graph = build_model(model)
+        cells[model] = (graph,
+                        calibrate_graph(graph, [_input(graph, rng)]))
+    return cells
 
 
 class TestTunerSelect:
@@ -188,36 +202,19 @@ class TestTuneCache:
 
 class TestTunedPrograms:
     @pytest.mark.parametrize("policy_name", sorted(POLICIES))
-    def test_tuned_byte_identical_squeezenet(self, policy_name,
-                                             squeezenet_mini,
-                                             squeezenet_calibration,
-                                             rng):
-        policy = POLICIES[policy_name]
-        plan = _split_plan(squeezenet_mini, policy)
-        x = _input(squeezenet_mini, rng)
-        baseline = compile_program(squeezenet_mini, plan,
-                                   squeezenet_calibration)
-        tuned = compile_program(squeezenet_mini, plan,
-                                squeezenet_calibration,
-                                tuner=Tuner(repeats=1))
-        assert tuned.tuned and not baseline.tuned
-        out = squeezenet_mini.output_layers()[0]
-        expected = baseline.run(x, keep="outputs")[out].data.tobytes()
-        got = tuned.run(x, keep="outputs")[out].data.tobytes()
-        assert got == expected
-
-    @pytest.mark.parametrize("model_fixture",
-                             ["vgg_mini", "mobilenet_mini"])
-    def test_tuned_byte_identical_pfq(self, model_fixture, rng,
-                                      request):
-        graph = request.getfixturevalue(model_fixture)
-        calibration = request.getfixturevalue(
-            f"{model_fixture}_calibration")
-        plan = _split_plan(graph, PROCESSOR_FRIENDLY)
+    @pytest.mark.parametrize("model", MINI_MODELS)
+    def test_tuned_byte_identical_pfq(self, model, policy_name,
+                                      tune_zoo, rng):
+        """Every mini model's matched split under every policy: the
+        tuned program reproduces the untuned one's bytes, which
+        ``tests/test_compiled_identity.py`` pins to the interpreter."""
+        graph, calibration = tune_zoo[model]
+        plan = _split_plan(graph, POLICIES[policy_name])
         x = _input(graph, rng)
         baseline = compile_program(graph, plan, calibration)
         tuned = compile_program(graph, plan, calibration,
                                 tuner=Tuner(repeats=1))
+        assert tuned.tuned and not baseline.tuned
         out = graph.output_layers()[0]
         assert (tuned.run(x, keep="outputs")[out].data.tobytes()
                 == baseline.run(x, keep="outputs")[out].data.tobytes())
@@ -343,7 +340,6 @@ class TestVerifyTunedVariantsPV014:
 
 class TestExecutorIntegration:
     def test_mulayer_tuner_produces_tuned_cached_program(self, rng):
-        from repro.models import build_model
         from repro.runtime import MuLayer
         from repro.soc import EXYNOS_7420
 
