@@ -168,6 +168,61 @@ def test_bench_depthwise_direct(benchmark, channels, size, stride):
     assert acc.tobytes() == want.reshape(acc.shape).tobytes()
 
 
+#: googlenet's conv2/3x3 CPU part and inception_3a/3x3: (in_c, out_c,
+#: size), 3x3 kernels at stride 1 and padding 1, batch 1.
+SHIFTED_SHAPES = {"conv2_3x3": (64, 96, 56), "inception_3a_3x3":
+                  (96, 128, 28)}
+
+
+@pytest.mark.parametrize("lowering", ["shifted", "im2col"])
+@pytest.mark.parametrize("shape", sorted(SHIFTED_SHAPES))
+def test_bench_integer_conv(benchmark, shape, lowering):
+    """One integer 3x3 conv part, input codes to requantized output
+    codes: the shifted-tap float32 GEMMs (``conv_shifted``) against
+    im2col + ``qgemm_fused``'s float64 GEMM and NCHW fold, checked
+    byte for byte against each other."""
+    from repro.kernels import (conv_shifted, exact_in_f32,
+                               fused_const_row, pack_shifted_taps,
+                               qgemm_fused, quantize_bias,
+                               shifted_input)
+    from repro.quant import Requantizer
+    in_c, out_c, size = SHIFTED_SHAPES[shape]
+    x_zero, w_zero = 7, 128
+    x = RNG.integers(0, 256, (1, in_c, size, size)).astype(np.uint8)
+    weights = RNG.standard_normal((out_c, in_c, 3, 3)) * 0.05
+    w_params = QuantParams.from_array(weights)
+    codes = w_params.quantize(weights)
+    assert exact_in_f32(codes, w_params.zero_point, x_zero)
+    bias_i32 = quantize_bias(RNG.standard_normal(out_c), 0.02,
+                             w_params.scale)
+    requantizer = Requantizer.prepare(
+        0.02, w_params.scale, QuantParams.from_range(-8.0, 8.0), True)
+    taps = pack_shifted_taps(codes, w_params.zero_point)
+    bias_col = bias_i32.reshape(-1, 1, 1)
+    rhs = codes.reshape(out_c, -1).T
+    const_row = fused_const_row(rhs.astype(np.int32), x_zero,
+                                w_params.zero_point, bias_i32)
+    rhs64 = rhs.astype(np.float64)
+
+    def shifted():
+        return requantizer(conv_shifted(
+            shifted_input(x, 3, 1, x_zero), taps, bias_col, 1, size,
+            size, 3, 1))
+
+    def reference():
+        columns = im2col(x, 3, 1, 1, pad_value=float(x_zero))
+        rows = qgemm_fused(columns.reshape(-1, in_c * 9), rhs64,
+                           w_params.zero_point, const_row, requantizer)
+        return np.ascontiguousarray(rows.reshape(
+            1, size, size, out_c).transpose(0, 3, 1, 2))
+
+    run, other = ((shifted, reference) if lowering == "shifted"
+                  else (reference, shifted))
+    out = benchmark(run)
+    assert out.shape == (1, out_c, size, size)
+    assert out.tobytes() == other().tobytes()
+
+
 def test_bench_mulayer_planning(benchmark):
     """Wall-clock cost of planning GoogLeNet with the oracle
     partitioner -- the runtime's one-time setup cost."""

@@ -451,6 +451,10 @@ def verify_tuned_variants(graph: Graph, plan: ExecutionPlan,
       has a non-trivial im2col the direct GEMM would skip);
     * ``folded`` only on conv/FC steps at batch > 1 (at batch 1 the
       reference is already a single GEMM call);
+    * either only on a step with at least one float part: both change
+      float parts alone, and an integer part's reference lowering is
+      already its only one (at k=1 the shifted-tap kernel *is* the
+      direct NCHW GEMM), so an integer-only step is never tuned;
     * an untuned program carries the reference lowering everywhere.
 
     Returns a report with one PV014 error per violated invariant.
@@ -496,4 +500,10 @@ def verify_tuned_variants(graph: Graph, plan: ExecutionPlan,
                     "GEMM call per part at batch 1")
         else:
             bad(locus, f"unknown kernel variant {variant!r}")
+            continue
+        if step.dtype is DType.QUINT8 and all(
+                plan.policy.compute_dtype(resource) is DType.QUINT8
+                for resource, _ in step.placements):
+            bad(locus, f"{variant} on an integer-only step; integer "
+                "parts have no lowering but the reference")
     return report

@@ -338,9 +338,10 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--models", default=None,
                        help="comma-separated models; each entry may "
                             "be a glob over the registered zoo, e.g. "
-                            "'*_mini' or 'vgg*' (default: vgg_mini "
-                            "for --serve-batch, mobilenet_mini and "
-                            "squeezenet_mini for --fleet)")
+                            "'*_mini' or 'vgg*'.  --serve-batch takes "
+                            "exactly one model (default vgg_mini); "
+                            "--fleet takes any number (default "
+                            "mobilenet_mini and squeezenet_mini)")
     bench.add_argument("--output", default=None, metavar="PATH",
                        help="write the results as JSON to PATH "
                             "(e.g. BENCH_serve_batch.json)")
@@ -992,7 +993,7 @@ def _expand_model_globs(text: str) -> List[str]:
             matches = [name for name in registered
                        if fnmatch.fnmatchcase(name, pattern)]
             if not matches:
-                raise SystemExit(
+                raise UnknownNameError(
                     f"bench: --models pattern {pattern!r} matches no "
                     f"registered model (see list-models)")
             chosen.extend(name for name in matches
@@ -1016,6 +1017,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         results = run_fleet_bench(**kwargs)
         render = render_fleet_bench
     else:
+        if models and len(models) > 1:
+            print(f"bench: --serve-batch takes one model, --models "
+                  f"resolved to {len(models)}: {', '.join(models)}",
+                  file=sys.stderr)
+            return 2
         if models:
             kwargs["model"] = models[0]
         if args.serve_requests is not None:

@@ -11,11 +11,26 @@ and emits one fused step per compute layer:
   folded bias/zero-point constant row
   (:func:`~repro.kernels.qgemm.fused_const_row`) and the prepared
   requantization epilogue (:class:`~repro.quant.linear.Requantizer`);
+* **integer convolution without im2col** -- every integer part of a
+  stride-1 conv (1x1 included) runs
+  :func:`~repro.kernels.conv_shifted`: the input is centred by its
+  zero point and zero-padded once into a flat float32 buffer, each of
+  the ``k*k`` filter taps is one GEMM over a shifted, copy-free view
+  of it, and the crop of the wrap columns lands the output in NCHW
+  with no fold.  float32 is exact here, not approximate: lowering
+  checks ``max(zx, 255 - zx) * max_oc sum |w - zw| < 2**24`` on the
+  part's own centred weight codes
+  (:func:`~repro.kernels.exact_in_f32`), which bounds every partial
+  sum any BLAS order or FMA can form, so each is an integer float32
+  holds exactly; the int32 cast plus the wrapping int32 bias add then
+  give ``qgemm_fused``'s accumulator bit for bit.  A part that fails
+  the bound keeps im2col + ``qgemm_fused`` (re-checked whenever new
+  weights force a recompile), as do stride-2 convs and FC layers;
 * **batched GEMM** -- the batch axis folds into the GEMM row dimension
   wherever that is byte-exact: always on the integer pipeline, whose
   accumulators are order-independent (modular int32 arithmetic is
-  associative and commutative, and the exact-f64 fast path is a
-  mathematically determined value).  Float pipelines at batch > 1
+  associative and commutative, and the exact float fast paths are
+  mathematically determined values).  Float pipelines at batch > 1
   instead issue one GEMM per sample *inside* the step -- numpy's BLAS
   can change blocking (and therefore float summation order) with the
   row count M, so folding samples into one ``(B*M, K) @ (K, N)`` call
@@ -31,7 +46,8 @@ Cooperative layers lower into one part per processor over the plan's
 channel ranges (:func:`~repro.runtime.distribution.channel_ranges`),
 each on its processor's pipeline, concatenated in channel order --
 exactly :meth:`LayerComputer.run_cooperative_shares`.  The parts of a
-quantized-storage conv that share a pipeline share one column matrix;
+quantized-storage conv that share a lowering share one column matrix
+(or one shifted-tap buffer);
 the float parts dequantize the input through a 256-entry table before
 im2col -- byte-identical to the interpreter, which gathers its uint8
 code columns through the same table.
@@ -67,9 +83,10 @@ import numpy as np
 
 from ..analysis.memory import plan_arena
 from ..errors import PlanError, QuantizationError
-from ..kernels import (conv_output_hw, depthwise_direct,
-                       flatten_filters, im2col, max_pool,
-                       pack_depthwise_taps, qgemm_fused)
+from ..kernels import (conv_output_hw, conv_shifted, depthwise_direct,
+                       exact_in_f32, flatten_filters, im2col, max_pool,
+                       pack_depthwise_taps, pack_shifted_taps,
+                       qgemm_fused, shifted_input)
 from ..kernels.qgemm import (EXACT_GEMM_MAX_DEPTH, fused_const_row,
                              quantize_bias)
 from ..nn import Graph, LayerKind
@@ -312,21 +329,27 @@ class _Lowering:
 
         candidates: List[_StepCandidate] = [
             ("reference", self._gemm_fn(parts, lhs_builders, axis))]
-        if self.tuner is not None:
+        # An integer part's lowering is fixed by a static rule (shifted
+        # taps where float32 is exact, else im2col), so only a step
+        # with a float part has alternatives to offer; each
+        # alternative keeps the reference's integer parts.
+        floats = [not self._integer(resource) for resource, _ in placements]
+        if self.tuner is not None and any(floats):
             direct = self._direct1x1_candidate(name, layer, x_qparams,
-                                               placements, axis)
+                                               placements, parts,
+                                               lhs_builders, axis)
             if direct is not None:
                 candidates.append(("direct1x1", direct))
-            if chunk is not None and any(variant != "codes"
-                                         for variant, _ in parts):
+            if chunk is not None:
                 # Batch-folded float GEMM: one (B*M, K) call instead
                 # of the reference's per-sample call shapes.  Changes
                 # BLAS blocking, so only the tuner's byte check can
                 # admit it (per shape, per batch).
                 folded_parts = [
                     self._gemm_part(name, layer, resource, rng,
-                                    x_qparams, None)
-                    for resource, rng in placements]
+                                    x_qparams, None) if is_float else part
+                    for (resource, rng), part, is_float
+                    in zip(placements, parts, floats)]
                 candidates.append(("folded", self._gemm_fn(
                     folded_parts, lhs_builders, axis)))
         return self._choose(name, candidates)
@@ -395,6 +418,14 @@ class _Lowering:
 
                 builders["codes"] = build_codes
                 builders["half"] = build_half
+                if layer.stride == 1:
+                    x_zero = x_qparams.zero_point
+
+                    def build_shifted(x: np.ndarray) -> np.ndarray:
+                        return shifted_input(x, layer.kernel,
+                                             layer.padding, x_zero)
+
+                    builders["shifted"] = build_shifted
             else:
                 def build_codes(x: np.ndarray) -> np.ndarray:
                     return x
@@ -434,6 +465,12 @@ class _Lowering:
                 builders["f32"] = build_f32
         return builders
 
+    def _integer(self, resource: str) -> bool:
+        """Whether ``resource``'s part of a step runs the integer
+        pipeline (QUInt8 storage and compute)."""
+        return (self.storage is DType.QUINT8
+                and self.policy.compute_dtype(resource) is DType.QUINT8)
+
     def _gemm_part(self, name: str, layer: _GemmLayer, resource: str,
                    rng: Optional[Tuple[int, int]],
                    x_qparams: Optional[QuantParams],
@@ -441,10 +478,9 @@ class _Lowering:
                    ) -> Tuple[str, Callable[[np.ndarray], np.ndarray]]:
         """(lhs variant, bound kernel) of one processor's portion."""
         compute = self.policy.compute_dtype(resource)
-        if self.storage is DType.QUINT8 and compute is DType.QUINT8:
+        if self._integer(resource):
             assert x_qparams is not None
-            return "codes", self._integer_gemm_part(name, layer, rng,
-                                                    x_qparams)
+            return self._integer_gemm_part(name, layer, rng, x_qparams)
         if self.storage is DType.QUINT8:
             variant = "half" if compute is DType.F16 else "half_f32"
             return variant, self._float_gemm_part(name, layer, rng,
@@ -468,32 +504,51 @@ class _Lowering:
     def _integer_gemm_part(self, name: str, layer: _GemmLayer,
                            rng: Optional[Tuple[int, int]],
                            x_qparams: QuantParams
-                           ) -> Callable[[np.ndarray], np.ndarray]:
-        """Fused integer pipeline: one qgemm_fused call per run."""
+                           ) -> Tuple[str,
+                                      Callable[[np.ndarray], np.ndarray]]:
+        """(lhs variant, kernel) of one integer part: shifted-tap GEMMs
+        for a stride-1 conv whose float32 sums are provably exact,
+        else im2col + one qgemm_fused call."""
         weight_codes, w_qparams = self.quantized_weights(layer.weights)
         bias = layer.bias
         if rng is not None:
             lo, hi = rng
             weight_codes = weight_codes[lo:hi]
             bias = bias[lo:hi]
-        if isinstance(layer, Conv2D):
-            rhs = flatten_filters(weight_codes).T
-        else:
-            rhs = weight_codes.T
-        rhs_i32 = rhs.astype(np.int32)
         bias_i32 = quantize_bias(bias, x_qparams.scale, w_qparams.scale)
-        const_row = fused_const_row(rhs_i32, x_qparams.zero_point,
-                                    w_qparams.zero_point, bias_i32)
-        # BLAS dgemm computes the identical accumulator whenever the
-        # depth bound guarantees exactness (see qgemm_fused); the run
-        # closure holds only the operand the kernel reads.
-        packed = (rhs.astype(np.float64)
-                  if rhs.shape[0] <= EXACT_GEMM_MAX_DEPTH else rhs_i32)
         out_qparams = self.qparams[name]
         assert out_qparams is not None
         requantizer = Requantizer.prepare(
             x_qparams.scale, w_qparams.scale, out_qparams, layer.relu)
         rhs_zero = w_qparams.zero_point
+        if (isinstance(layer, Conv2D) and layer.stride == 1
+                and exact_in_f32(weight_codes, rhs_zero,
+                                 x_qparams.zero_point)):
+            taps = pack_shifted_taps(weight_codes, rhs_zero)
+            bias_col = bias_i32.reshape(-1, 1, 1)
+            (producer,) = self.graph.inputs_of(name)
+            _, _, in_h, in_w = self.out_shape(producer)
+            batch, kernel, padding = self.batch, layer.kernel, layer.padding
+
+            def run_shifted(buf: np.ndarray) -> np.ndarray:
+                return requantizer(conv_shifted(
+                    buf, taps, bias_col, batch, in_h, in_w, kernel,
+                    padding))
+
+            return "shifted", run_shifted
+
+        if isinstance(layer, Conv2D):
+            rhs = flatten_filters(weight_codes).T
+        else:
+            rhs = weight_codes.T
+        rhs_i32 = rhs.astype(np.int32)
+        const_row = fused_const_row(rhs_i32, x_qparams.zero_point,
+                                    rhs_zero, bias_i32)
+        # BLAS dgemm computes the identical accumulator whenever the
+        # depth bound guarantees exactness (see qgemm_fused); the run
+        # closure holds only the operand the kernel reads.
+        packed = (rhs.astype(np.float64)
+                  if rhs.shape[0] <= EXACT_GEMM_MAX_DEPTH else rhs_i32)
         shape = self._part_shape(layer, rng)
 
         def run(lhs: np.ndarray) -> np.ndarray:
@@ -501,7 +556,7 @@ class _Lowering:
                                    requantizer)
             return _fold_gemm_output(out_rows, shape)
 
-        return run
+        return "codes", run
 
     def _float_gemm_part(self, name: str, layer: _GemmLayer,
                          rng: Optional[Tuple[int, int]],
@@ -565,18 +620,20 @@ class _Lowering:
     def _direct1x1_candidate(
             self, name: str, layer: _GemmLayer,
             x_qparams: Optional[QuantParams],
-            placements: Tuple[PlacementPart, ...], axis: int
+            placements: Tuple[PlacementPart, ...],
+            reference_parts: List[Tuple[str, Callable[[np.ndarray],
+                                                      np.ndarray]]],
+            reference_builders: Dict[str, PrepareFn], axis: int
     ) -> Optional[StepFn]:
         """The direct NCHW GEMM lowering of a 1x1 conv, or None.
 
         A 1x1/stride-1/no-padding conv's im2col is a pure transpose,
-        and its NHWC output fold is the inverse transpose -- so the
-        whole step collapses to ``W (oc, C) @ X (N, C, H*W)`` on the
-        native layout, skipping both copies.  Integer parts reproduce
-        the fused pipeline's accumulator exactly (see the part
-        builder), so they are byte-identical by construction; float
-        parts change the BLAS call shape and live or die by the
-        tuner's byte check.
+        and its NHWC output fold is the inverse transpose -- so each
+        float part collapses to ``W (oc, C) @ X (N, C, H*W)`` on the
+        native layout, skipping both copies.  Float parts change the
+        BLAS call shape and live or die by the tuner's byte check.
+        Integer parts keep the reference's own kernels: at k=1 the
+        shifted-tap GEMM already is this direct GEMM.
         """
         if not isinstance(layer, Conv2D) or axis != 1:
             return None
@@ -584,38 +641,28 @@ class _Lowering:
                 or layer.padding != 0):
             return None
         in_c = int(layer.weights.shape[1])
-        for resource, _ in placements:
-            compute = self.policy.compute_dtype(resource)
-            if (self.storage is DType.QUINT8
-                    and compute is DType.QUINT8
-                    and in_c > EXACT_GEMM_MAX_DEPTH):
-                return None     # exactness proof needs the depth bound
-        builders = self._direct1x1_builders(x_qparams, in_c)
-        parts = [self._direct1x1_part(name, layer, resource, rng,
-                                      x_qparams)
-                 for resource, rng in placements]
+        builders = dict(reference_builders)
+        builders.update(self._direct1x1_builders(x_qparams, in_c))
+        parts = [part if self._integer(resource)
+                 else self._direct1x1_part(name, layer, resource, rng)
+                 for (resource, rng), part
+                 in zip(placements, reference_parts)]
         return self._gemm_fn(parts, builders, axis)
 
     def _direct1x1_builders(self, x_qparams: Optional[QuantParams],
                             in_c: int) -> Dict[str, PrepareFn]:
-        """Activation-side lowerings of the direct 1x1 path: the
-        ``(N, C, H*W)`` view of the input, centered/dequantized per
-        compute pipeline (the NCHW mirror of _gemm_lhs_builders)."""
+        """Float activation-side lowerings of the direct 1x1 path: the
+        ``(N, C, H*W)`` view of the input, dequantized per compute
+        pipeline (the NCHW mirror of _gemm_lhs_builders)."""
         batch = self.batch
         builders: Dict[str, PrepareFn] = {}
         if self.storage is DType.QUINT8:
             assert x_qparams is not None
-            x_zero = float(x_qparams.zero_point)
             lut_half = dequantize_lut(x_qparams).astype(np.float32)
-
-            def build_centered(x: np.ndarray) -> np.ndarray:
-                return (x.reshape(batch, in_c, -1).astype(np.float64)
-                        - x_zero)
 
             def build_half(x: np.ndarray) -> np.ndarray:
                 return lut_half[x].reshape(batch, in_c, -1)
 
-            builders["nchw_centered"] = build_centered
             builders["nchw_half"] = build_half
             builders["nchw_half_f32"] = build_half
         else:
@@ -631,15 +678,10 @@ class _Lowering:
         return builders
 
     def _direct1x1_part(self, name: str, layer: _GemmLayer,
-                        resource: str, rng: Optional[Tuple[int, int]],
-                        x_qparams: Optional[QuantParams]
+                        resource: str, rng: Optional[Tuple[int, int]]
                         ) -> Tuple[str,
                                    Callable[[np.ndarray], np.ndarray]]:
         compute = self.policy.compute_dtype(resource)
-        if self.storage is DType.QUINT8 and compute is DType.QUINT8:
-            assert x_qparams is not None
-            return "nchw_centered", self._direct1x1_integer_part(
-                name, layer, rng, x_qparams)
         if self.storage is DType.QUINT8:
             variant = ("nchw_half" if compute is DType.F16
                        else "nchw_half_f32")
@@ -648,40 +690,6 @@ class _Lowering:
         variant = "nchw_f16" if compute is DType.F16 else "nchw_f32"
         return variant, self._direct1x1_float_part(
             name, layer, rng, compute, quantized=False)
-
-    def _direct1x1_integer_part(
-            self, name: str, layer: _GemmLayer,
-            rng: Optional[Tuple[int, int]], x_qparams: QuantParams
-    ) -> Callable[[np.ndarray], np.ndarray]:
-        weight_codes, w_qparams = self.quantized_weights(layer.weights)
-        bias = layer.bias
-        if rng is not None:
-            lo, hi = rng
-            weight_codes = weight_codes[lo:hi]
-            bias = bias[lo:hi]
-        out_c, in_c = weight_codes.shape[0], weight_codes.shape[1]
-        w64 = (weight_codes.reshape(out_c, in_c).astype(np.float64)
-               - float(w_qparams.zero_point))
-        bias_i32 = quantize_bias(bias, x_qparams.scale, w_qparams.scale)
-        out_qparams = self.qparams[name]
-        assert out_qparams is not None
-        requantizer = Requantizer.prepare(
-            x_qparams.scale, w_qparams.scale, out_qparams, layer.relu)
-        shape = self._part_shape(layer, rng)
-
-        def run(centered: np.ndarray) -> np.ndarray:
-            # The centered f64 GEMM is exact under the depth bound
-            # (|sum| <= C * 255^2 < 2**31, every partial far below
-            # 2**53), and the fused pipeline's accumulator equals the
-            # same centered sum plus bias modulo 2**32 -- so the int32
-            # cast plus the wrapping bias add reproduce qgemm_fused's
-            # accumulator bit for bit, and the requantized codes are
-            # byte-identical by construction, not by measurement.
-            acc = np.matmul(w64, centered).astype(np.int32)
-            acc += bias_i32[None, :, None]
-            return requantizer(acc).reshape(shape)
-
-        return run
 
     def _direct1x1_float_part(
             self, name: str, layer: _GemmLayer,

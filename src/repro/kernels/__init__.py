@@ -1,5 +1,5 @@
 """Numerical kernels: im2col, float GEMM, quantized GEMM, pooling,
-direct depthwise."""
+direct depthwise, shifted-tap integer convolution."""
 
 from .depthwise import depthwise_direct, pack_depthwise_taps
 from .gemm import gemm_f16, gemm_f32
@@ -7,6 +7,8 @@ from .im2col import (col2im_shape, conv_output_hw, flatten_filters, im2col)
 from .pooling import avg_pool, global_avg_pool, max_pool
 from .qgemm import (fused_const_row, qgemm, qgemm_accumulate, qgemm_fused,
                     quantize_bias)
+from .shifted import (conv_shifted, exact_in_f32, pack_shifted_taps,
+                      shifted_input)
 from .variants import conv1x1_direct_f32
 
 __all__ = [
@@ -26,5 +28,9 @@ __all__ = [
     "qgemm_accumulate",
     "qgemm_fused",
     "quantize_bias",
+    "conv_shifted",
+    "exact_in_f32",
+    "pack_shifted_taps",
+    "shifted_input",
     "conv1x1_direct_f32",
 ]

@@ -78,6 +78,24 @@ class TestCli:
             "unknown model 'nosuch'; known models: ")
         assert "vgg_mini" in lines[0]
 
+    def test_unmatched_model_glob_is_a_usage_error(self, capsys):
+        assert main(["bench", "--fleet", "--models", "nosuch*"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "bench: --models pattern 'nosuch*' matches no registered "
+            "model (see list-models)"]
+
+    @pytest.mark.parametrize("models", ["vgg_mini,squeezenet_mini",
+                                        "vgg_mini,squeezenet_m*"])
+    def test_serve_batch_takes_one_model(self, models, capsys):
+        assert main(["bench", "--serve-batch", "--models", models]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "bench: --serve-batch takes one model, --models resolved "
+            "to 2: vgg_mini, squeezenet_mini"]
+
     @pytest.mark.parametrize("argv", [
         ["bench"],
         ["bench", "--serve-batch", "--fleet"],

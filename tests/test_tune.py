@@ -338,9 +338,40 @@ class TestVerifyTunedVariantsPV014:
         assert not report.ok
         assert any(d.rule == "PV014" for d in report.diagnostics)
 
+    def test_integer_only_steps_never_timed(self, squeezenet_mini,
+                                            squeezenet_calibration):
+        """Integer parts have one lowering, so an all-CPU plan under
+        the processor-friendly policy offers the tuner nothing; a
+        variant stamped onto one of its 1x1 steps is flagged."""
+        plan = ExecutionPlan(
+            graph_name=squeezenet_mini.name, policy=PROCESSOR_FRIENDLY,
+            assignments={name: LayerAssignment.on_cpu(name)
+                         for name in squeezenet_mini.compute_layers()})
+        tuner = Tuner(repeats=1)
+        program = compile_program(squeezenet_mini, plan,
+                                  squeezenet_calibration, tuner=tuner)
+        assert tuner.timed == 0
+        assert not tuner.cache.records()
+        assert set(program.variant_histogram()) == {"reference"}
+        index, step = next(
+            (i, s) for i, s in enumerate(program.steps)
+            if s.kind == "conv"
+            and squeezenet_mini.layer(s.layer).kernel == 1)
+        program.steps = list(program.steps)
+        program.steps[index] = dataclasses.replace(
+            step, variant="direct1x1")
+        report = verify_tuned_variants(squeezenet_mini, plan, program)
+        assert [d.rule for d in report.diagnostics] == ["PV014"]
+        assert "integer-only" in report.diagnostics[0].message
+
+
 class TestExecutorIntegration:
     def test_mulayer_tuner_produces_tuned_cached_program(self, rng):
-        from repro.runtime import MuLayer
+        """A MuLayer runtime with a tuner bakes tuned variants into
+        its cached program.  Integer-only steps offer no alternative
+        lowering, so both runtimes serve the 0.5 CPU/GPU split, whose
+        1x1 convs carry F16 parts."""
+        from repro.runtime import MuLayer, PlanKey
         from repro.soc import EXYNOS_7420
 
         graph = build_model("squeezenet_mini")
@@ -349,6 +380,13 @@ class TestExecutorIntegration:
         tuner = Tuner(repeats=1)
         runtime = MuLayer(EXYNOS_7420, compiled=True, tuner=tuner)
         plain = MuLayer(EXYNOS_7420, compiled=True)
+        plan = _split_plan(graph, PROCESSOR_FRIENDLY)
+        key = PlanKey(model=graph.name, soc=EXYNOS_7420.name,
+                      mechanism="mulayer", policy=PROCESSOR_FRIENDLY.name,
+                      batch=1)
+        for each in (runtime, plain):
+            each.plan_cache.put(key, plan)
+            assert each.plan(graph) is plan
 
         tuned_result = runtime.run(graph, x, calibration=calibration)
         plain_result = plain.run(graph, x, calibration=calibration)
