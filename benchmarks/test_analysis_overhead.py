@@ -16,7 +16,7 @@ regression.
 
 import time
 
-from repro.analysis import (ConcurrencyLinter, MemoryFootprintAnalyzer,
+from repro.analysis import (DeterminismLinter, MemoryFootprintAnalyzer,
                             build_plan, verify_static)
 from repro.models import MINI_MODELS, build_model
 from repro.soc import SOCS
@@ -65,7 +65,7 @@ def test_static_pass_stays_within_budget():
 
 def test_source_lint_stays_within_budget():
     started = time.perf_counter()
-    report = ConcurrencyLinter().lint_paths(["src/repro"])
+    report = DeterminismLinter().lint_paths(["src/repro"])
     elapsed = time.perf_counter() - started
 
     print(f"\nsource lint: {len(report)} findings in {elapsed:.2f}s "

@@ -115,34 +115,6 @@ def test_bench_quantize_store(benchmark):
     assert out.tobytes() == want.tobytes()
 
 
-def test_bench_conv1x1_direct(benchmark, conv_input):
-    """The direct NCHW GEMM the autotuner offers for 1x1 convs --
-    the im2col copy and the output fold it skips are the whole
-    point, so compare against test_bench_im2col + test_bench_gemm."""
-    from repro.kernels import conv1x1_direct_f32
-    weights = RNG.standard_normal((128, 64, 1, 1)).astype(np.float32)
-    bias = RNG.standard_normal(128).astype(np.float32)
-    out = benchmark(conv1x1_direct_f32, conv_input, weights, bias)
-    assert out.shape == (1, 128, 56, 56)
-
-
-def test_bench_conv1x1_im2col_reference(benchmark, conv_input):
-    """The im2col+GEMM reference lowering of the same 1x1 conv, for a
-    side-by-side read against test_bench_conv1x1_direct."""
-    weights = RNG.standard_normal((128, 64, 1, 1)).astype(np.float32)
-    bias = RNG.standard_normal(128).astype(np.float32)
-    rhs = weights.reshape(128, 64).T.copy()
-
-    def reference():
-        columns = im2col(conv_input, 1, 1, 0)
-        rows = columns.reshape(-1, 64) @ rhs + bias
-        return rows.reshape(1, 56 * 56, 128).transpose(
-            0, 2, 1).reshape(1, 128, 56, 56)
-
-    out = benchmark(reference)
-    assert out.shape == (1, 128, 56, 56)
-
-
 @pytest.mark.parametrize(
     "channels, size, stride",
     [(32, 112, 1),     # mobilenet conv1/dw

@@ -26,9 +26,8 @@ Six analyzers, one diagnostic vocabulary:
   cluster sibling :class:`ClusterSchedulabilityAnalyzer` lints a
   :class:`~repro.cluster.ClusterConfig`'s pools, placement, and
   autoscaler ceiling the same way (rules ``SC006``-``SC008``);
-* :class:`ConcurrencyLinter` -- AST lint of the repo's own sources for
-  unguarded shared state and nondeterminism hazards
-  (rules ``CL001``-``CL004``).
+* :class:`DeterminismLinter` -- AST lint of the repo's own sources for
+  unseeded randomness and wall-clock reads (rules ``CL003``-``CL004``).
 
 All six emit :class:`Diagnostic` records into a :class:`Report`, which
 renders as text, JSON, or SARIF (:mod:`~repro.analysis.sarif` adds the
@@ -52,7 +51,7 @@ from .schedulability import (ClusterSchedulabilityAnalyzer,
                              SchedulabilityAnalyzer,
                              lint_cluster_config, lint_serve_config,
                              utilization)
-from .srclint import ConcurrencyLinter
+from .srclint import DeterminismLinter
 from .verify import (MECHANISMS, SweepEntry, applicable_mechanisms,
                      build_plan, verify_mechanism, verify_run,
                      verify_static, verify_sweep)
@@ -62,7 +61,7 @@ __all__ = [
     "ArenaSlot",
     "BufferInterval",
     "ClusterSchedulabilityAnalyzer",
-    "ConcurrencyLinter",
+    "DeterminismLinter",
     "Diagnostic",
     "DtypeFact",
     "DtypeFlowLinter",

@@ -40,7 +40,7 @@ class Severity(enum.Enum):
 #: The rule catalogue: every rule id an analyzer may emit, with a short
 #: description.  Rule ids are stable identifiers: PV* = plan verifier,
 #: RC* = timeline race detector, DT* = dtype-flow linter, MF* = memory
-#: footprint analyzer, SC* = schedulability analyzer, CL* = concurrency
+#: footprint analyzer, SC* = schedulability analyzer, CL* = determinism
 #: source linter.
 RULES: Dict[str, str] = {
     # -- PlanVerifier ------------------------------------------------------
@@ -123,11 +123,7 @@ RULES: Dict[str, str] = {
              "DRAM of a pinned host pool, or no pool can host it",
     "SC008": "autoscaler ceiling too low: cluster-wide demand exceeds "
              "the aggregate service rate at every pool's max replicas",
-    # -- ConcurrencyLinter --------------------------------------------------
-    "CL001": "unguarded mutation of module-level shared state (no "
-             "enclosing lock)",
-    "CL002": "lock-free write to state of a class documented "
-             "thread-safe",
+    # -- DeterminismLinter --------------------------------------------------
     "CL003": "nondeterminism hazard: unseeded or process-global random "
              "source",
     "CL004": "wall-clock dependence (time.time/perf_counter/"

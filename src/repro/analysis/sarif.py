@@ -3,12 +3,12 @@
 SARIF (Static Analysis Results Interchange Format) is what code-review
 UIs and CI annotation actions ingest; emitting it lets the repo's own
 analyzers -- the plan verifier, the memory/schedulability analyzers,
-and the :mod:`~repro.analysis.srclint` concurrency lint -- surface
+and the :mod:`~repro.analysis.srclint` determinism lint -- surface
 inline on pull requests like any off-the-shelf linter.
 
 The baseline file (``lint-baseline.json`` at the repo root) pins the
-*accepted* findings: intentional wall-clock reads in the benchmarking
-harness, import-time registry mutation, and similar.  Suppressions are
+*accepted* findings, such as the intentional wall-clock reads of the
+timing harness.  Suppressions are
 keyed by a fingerprint of (rule, file, message) -- deliberately
 excluding the line number, so reformatting that shifts a finding a few
 lines does not resurrect it.  A finding not in the baseline fails CI;

@@ -1,19 +1,10 @@
-"""AST-based concurrency and determinism lint of the repo itself
-(CL001-CL004).
+"""AST-based determinism lint of the repo itself (CL003-CL004).
 
-The serving layer runs plan building in worker processes and shares a
-:class:`~repro.runtime.plan_cache.PlanCache` across threads, so the
-simulator's own code is subject to the concurrency discipline it
-models.  This linter walks Python sources (no imports, no execution)
-and flags the hazards that have actually bitten this codebase:
+The simulator promises byte-identical output for a fixed seed, with
+simulated time as the only clock.  This linter walks Python sources
+(no imports, no execution) and flags the two ways library code breaks
+that promise:
 
-* **CL001** (warning): a module-level mutable container (cache dicts
-  like ``_MULAYER_CACHE``) mutated inside a function with no enclosing
-  ``with <lock>`` -- a data race the moment two threads share the
-  module.
-* **CL002** (error): a class documented "thread-safe" mutating its own
-  state outside a lock (``__init__`` excepted -- the object is not yet
-  shared).
 * **CL003** (warning): unseeded randomness (``default_rng()`` with no
   seed, legacy ``np.random.*``, stdlib ``random.*``) -- the simulator's
   determinism contract requires every stream to be seeded.
@@ -21,29 +12,17 @@ and flags the hazards that have actually bitten this codebase:
   ``datetime.now``) -- fine in benchmarking harnesses, a determinism
   hazard anywhere simulated time is the authority.
 
-Lock detection is lexical: a ``with`` statement whose context
-expression mentions an identifier containing ``lock`` or ``mutex``
-guards its body.  That is deliberately permissive -- the lint wants no
-false alarms on correctly guarded code, and a misnamed lock is its own
-review problem.
+The rule ids keep their original numbers so baseline fingerprints do
+not move.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
-from typing import Iterable, List, Optional, Set, Tuple, Union
+from typing import Iterable, List, Optional, Tuple
 
 from .diagnostics import Report
-
-#: Call names that build a mutable container at module level.
-_CONTAINER_BUILDERS = {"dict", "list", "set", "defaultdict",
-                       "OrderedDict", "Counter", "deque"}
-
-#: Method names that mutate a container in place.
-_MUTATORS = {"append", "extend", "add", "update", "setdefault", "pop",
-             "popitem", "clear", "remove", "discard", "insert",
-             "move_to_end", "appendleft"}
 
 #: Legacy / stdlib random functions that bypass seeded generators.
 _RANDOM_FNS = {"rand", "randn", "randint", "random", "choice",
@@ -54,8 +33,6 @@ _RANDOM_FNS = {"rand", "randn", "randint", "random", "choice",
 _CLOCK_FNS = {"time", "perf_counter", "monotonic", "process_time",
               "perf_counter_ns", "monotonic_ns", "time_ns"}
 _DATETIME_FNS = {"now", "utcnow", "today"}
-
-_FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 
 def _dotted(node: ast.AST) -> Optional[List[str]]:
@@ -70,199 +47,22 @@ def _dotted(node: ast.AST) -> Optional[List[str]]:
     return None
 
 
-def _mentions_lock(node: ast.AST) -> bool:
-    """True when any identifier in the expression looks like a lock."""
-    for child in ast.walk(node):
-        name = ""
-        if isinstance(child, ast.Name):
-            name = child.id
-        elif isinstance(child, ast.Attribute):
-            name = child.attr
-        lowered = name.lower()
-        if "lock" in lowered or "mutex" in lowered:
-            return True
-    return False
-
-
-def _is_container_literal(node: ast.AST) -> bool:
-    """True for expressions that build a mutable container."""
-    if isinstance(node, (ast.Dict, ast.List, ast.Set, ast.DictComp,
-                         ast.ListComp, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        parts = _dotted(node.func)
-        return bool(parts) and parts[-1] in _CONTAINER_BUILDERS
-    return False
-
-
-def _module_mutables(tree: ast.Module) -> Set[str]:
-    """Names bound to mutable containers at module level."""
-    names: Set[str] = set()
-    for stmt in tree.body:
-        targets: List[ast.expr] = []
-        value: Optional[ast.expr] = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        if value is None or not _is_container_literal(value):
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name):
-                names.add(target.id)
-    return names
-
-
-def _doc_says_thread_safe(node: Union[ast.Module, ast.ClassDef]) -> bool:
-    doc = ast.get_docstring(node) or ""
-    lowered = doc.lower()
-    return "thread-safe" in lowered or "thread safe" in lowered
-
-
-def _base_name(node: ast.expr) -> Optional[List[str]]:
-    """The dotted base of a subscript/attribute target expression."""
-    while isinstance(node, ast.Subscript):
-        node = node.value
-    return _dotted(node)
-
-
-def _owns_lock(node: ast.ClassDef) -> bool:
-    """True when the class binds a constructed lock to ``self``.
-
-    Requires a call on the right-hand side (``threading.Lock()``
-    style) so lock-*named* scalars -- a ``_lock_depth`` counter, say --
-    do not make the class look synchronized.
-    """
-    for child in ast.walk(node):
-        if not isinstance(child, ast.Assign):
-            continue
-        if not isinstance(child.value, ast.Call):
-            continue
-        for target in child.targets:
-            if (isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                    and ("lock" in target.attr.lower()
-                         or "mutex" in target.attr.lower())):
-                return True
-    return False
-
-
 class _FileLint(ast.NodeVisitor):
     """One file's lint pass; findings accumulate on ``self.report``."""
 
-    def __init__(self, relpath: str, tree: ast.Module) -> None:
+    def __init__(self, relpath: str) -> None:
         self.relpath = relpath
         self.report = Report()
-        self.mutables = _module_mutables(tree)
-        self.module_thread_safe = _doc_says_thread_safe(tree)
-        self._lock_depth = 0
-        self._function: Optional[str] = None
-        self._class_thread_safe = False
-
-    # -- helpers -------------------------------------------------------------
 
     def _locus(self, node: ast.AST) -> str:
         return f"{self.relpath}:{getattr(node, 'lineno', 0)}"
 
-    def _check_target(self, node: ast.AST, target: ast.expr,
-                      verb: str) -> None:
-        """CL001/CL002 on one assignment/deletion target."""
-        if self._function is None or self._lock_depth > 0:
-            return
-        parts = _base_name(target)
-        if parts is None:
-            return
-        if parts[0] in self.mutables:
-            self.report.warning(
-                "CL001", self._locus(node),
-                f"{verb} of module-level {parts[0]!r} in "
-                f"{self._function}() without holding a lock")
-        elif (self._class_thread_safe and parts[0] == "self"
-              and len(parts) > 1 and self._function != "__init__"):
-            self.report.error(
-                "CL002", self._locus(node),
-                f"{verb} of self.{parts[1]} in {self._function}() "
-                "outside a lock, but the class is documented "
-                "thread-safe")
-
-    # -- scope tracking ------------------------------------------------------
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        # CL002 needs both the documentation claim and a lock to hold:
-        # a lockless class in a module whose prose mentions
-        # "thread-safe" is not the documented structure.
-        previous = self._class_thread_safe
-        self._class_thread_safe = (
-            (self.module_thread_safe or _doc_says_thread_safe(node))
-            and _owns_lock(node))
-        self.generic_visit(node)
-        self._class_thread_safe = previous
-
-    def _visit_function(self, node: _FunctionNode) -> None:
-        previous = self._function
-        self._function = node.name
-        self.generic_visit(node)
-        self._function = previous
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_function(node)
-
-    def visit_AsyncFunctionDef(self,
-                               node: ast.AsyncFunctionDef) -> None:
-        self._visit_function(node)
-
-    def visit_With(self, node: ast.With) -> None:
-        locked = any(_mentions_lock(item.context_expr)
-                     for item in node.items)
-        if locked:
-            self._lock_depth += 1
-        self.generic_visit(node)
-        if locked:
-            self._lock_depth -= 1
-
-    # -- mutation sites ------------------------------------------------------
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._check_target(node, target, "write")
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._check_target(node, node.target, "in-place update")
-        self.generic_visit(node)
-
-    def visit_Delete(self, node: ast.Delete) -> None:
-        for target in node.targets:
-            self._check_target(node, target, "deletion")
-        self.generic_visit(node)
-
     def visit_Call(self, node: ast.Call) -> None:
         parts = _dotted(node.func)
         if parts is not None:
-            self._check_mutator_call(node, parts)
             self._check_random(node, parts)
             self._check_clock(node, parts)
         self.generic_visit(node)
-
-    def _check_mutator_call(self, node: ast.Call,
-                            parts: List[str]) -> None:
-        if len(parts) < 2 or parts[-1] not in _MUTATORS:
-            return
-        if self._function is None or self._lock_depth > 0:
-            return
-        if parts[0] in self.mutables:
-            self.report.warning(
-                "CL001", self._locus(node),
-                f"{parts[-1]}() on module-level {parts[0]!r} in "
-                f"{self._function}() without holding a lock")
-        elif (self._class_thread_safe and parts[0] == "self"
-              and len(parts) > 2 and self._function != "__init__"):
-            self.report.error(
-                "CL002", self._locus(node),
-                f"{parts[-1]}() on self.{parts[1]} in "
-                f"{self._function}() outside a lock, but the class "
-                "is documented thread-safe")
 
     def _check_random(self, node: ast.Call, parts: List[str]) -> None:
         if parts[-1] == "default_rng":
@@ -296,8 +96,9 @@ class _FileLint(ast.NodeVisitor):
                 "library code")
 
 
-class ConcurrencyLinter:
-    """Lints Python sources for concurrency/determinism hazards.
+class DeterminismLinter:
+    """Lints Python sources for determinism hazards: unseeded
+    randomness (CL003) and wall-clock reads (CL004).
 
     Args:
         rel_to: directory loci are reported relative to (default: the
@@ -320,7 +121,7 @@ class ConcurrencyLinter:
     def lint_source(self, source: str, relpath: str) -> Report:
         """Lint one file's source text."""
         tree = ast.parse(source, filename=relpath)
-        lint = _FileLint(relpath, tree)
+        lint = _FileLint(relpath)
         lint.visit(tree)
         return lint.report
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-import threading
 from typing import Iterable, List, Optional, Tuple
 
 from ..models import build_model, list_models
@@ -45,37 +44,26 @@ _SINGLE_PROCESSOR_DTYPE = {
 }
 
 #: MuLayer runtimes by SoC name, so repeated sweeps reuse the fitted
-#: latency predictor and the per-graph plan cache.  Bounded LRU (there
+#: latency predictor and the per-graph plan cache.  Bounded LRU: there
 #: are only a handful of SoCs, but ad-hoc SoC specs in tests would
-#: otherwise accumulate fitted predictors forever) and lock-guarded
-#: (sweeps may run from threads as well as worker processes).
+#: otherwise accumulate fitted predictors forever.
 _MULAYER_CACHE_CAPACITY = 8
 _MULAYER_CACHE: "collections.OrderedDict[str, MuLayer]" = (
     collections.OrderedDict())
-_MULAYER_CACHE_LOCK = threading.Lock()
 
 
 def _cached_runtime(soc: SoCSpec) -> MuLayer:
-    """The (bounded, shared) MuLayer runtime of one SoC.
-
-    The runtime is built outside the lock -- predictor fitting is the
-    expensive part and must not serialize unrelated SoCs -- so two
-    racing builders may both construct one; the second insert wins and
-    both are valid.
-    """
-    with _MULAYER_CACHE_LOCK:
-        runtime = _MULAYER_CACHE.get(soc.name)
-        if runtime is not None:
-            _MULAYER_CACHE.move_to_end(soc.name)
-            return runtime
+    """The (bounded, shared) MuLayer runtime of one SoC."""
+    runtime = _MULAYER_CACHE.get(soc.name)
+    if runtime is not None:
+        _MULAYER_CACHE.move_to_end(soc.name)
+        return runtime
     # The fitted latency predictor only covers CPU and GPU; three-way
     # planning uses oracle costs (Section 8.3).
     built = MuLayer(soc, use_oracle_costs=soc.has_npu)
-    with _MULAYER_CACHE_LOCK:
-        _MULAYER_CACHE[soc.name] = built
-        _MULAYER_CACHE.move_to_end(soc.name)
-        while len(_MULAYER_CACHE) > _MULAYER_CACHE_CAPACITY:
-            _MULAYER_CACHE.popitem(last=False)
+    _MULAYER_CACHE[soc.name] = built
+    while len(_MULAYER_CACHE) > _MULAYER_CACHE_CAPACITY:
+        _MULAYER_CACHE.popitem(last=False)
     return built
 
 

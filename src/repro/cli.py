@@ -286,9 +286,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(default: each plan's own batch)")
     verify.add_argument("--lint-src", nargs="?", const="src/repro",
                         default=None, metavar="PATH",
-                        help="run the concurrency/determinism source "
-                             "lint over PATH (default src/repro; CL "
-                             "rules); usable without a model")
+                        help="run the determinism source lint over "
+                             "PATH (default src/repro; CL rules); "
+                             "usable without a model")
     verify.add_argument("--schedulability", action="store_true",
                         help="statically lint the serve configuration "
                              "implied by --devices/--load/--rate/"
@@ -571,7 +571,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     import dataclasses
     import pathlib
 
-    from .analysis import (ConcurrencyLinter, Report, apply_baseline,
+    from .analysis import (DeterminismLinter, Report, apply_baseline,
                            load_baseline, verify_sweep)
 
     standalone = args.lint_src is not None or args.schedulability
@@ -594,7 +594,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                                compiled=args.compiled)
     lint_report = None
     if args.lint_src is not None:
-        lint_report = ConcurrencyLinter().lint_paths(
+        lint_report = DeterminismLinter().lint_paths(
             [args.lint_src]).sorted()
     sched_report = None
     if args.schedulability:

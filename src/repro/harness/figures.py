@@ -10,7 +10,6 @@ tables, and assert the paper's qualitative shapes.
 from __future__ import annotations
 
 import dataclasses
-import threading
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -31,23 +30,20 @@ DEFAULT_SOCS = (EXYNOS_7420, EXYNOS_7880)
 #: predictor once per SoC instead of once per unit.
 _RUNTIMES: Dict[str, MuLayer] = {}
 _ABLATIONS: Dict[str, Dict[str, MuLayer]] = {}
-_CACHE_LOCK = threading.Lock()
 
 
 def _runtime_for(soc: SoCSpec) -> MuLayer:
-    with _CACHE_LOCK:
-        runtime = _RUNTIMES.get(soc.name)
-        if runtime is None:
-            runtime = _RUNTIMES[soc.name] = MuLayer(soc)
-        return runtime
+    runtime = _RUNTIMES.get(soc.name)
+    if runtime is None:
+        runtime = _RUNTIMES[soc.name] = MuLayer(soc)
+    return runtime
 
 
 def _ablation_for(soc: SoCSpec) -> Dict[str, MuLayer]:
-    with _CACHE_LOCK:
-        stages = _ABLATIONS.get(soc.name)
-        if stages is None:
-            stages = _ABLATIONS[soc.name] = mulayer_ablation_stages(soc)
-        return stages
+    stages = _ABLATIONS.get(soc.name)
+    if stages is None:
+        stages = _ABLATIONS[soc.name] = mulayer_ablation_stages(soc)
+    return stages
 
 
 @dataclasses.dataclass

@@ -9,7 +9,6 @@ from .qgemm import (fused_const_row, qgemm, qgemm_accumulate, qgemm_fused,
                     quantize_bias)
 from .shifted import (conv_shifted, exact_in_f32, pack_shifted_taps,
                       shifted_input)
-from .variants import conv1x1_direct_f32
 
 __all__ = [
     "depthwise_direct",
@@ -32,5 +31,4 @@ __all__ = [
     "exact_in_f32",
     "pack_shifted_taps",
     "shifted_input",
-    "conv1x1_direct_f32",
 ]

@@ -19,17 +19,16 @@ program -- ``set_weights`` installed new arrays -- is dropped and
 reported as a miss).  These program slots are the runtime's only
 program memo; the :class:`~repro.runtime.executor.Executor` keeps none.
 
-The cache is thread-safe (the serving simulator's fleet shares it
-across device contexts, and warm-up may populate it concurrently) and
-optionally bounded: with ``max_entries`` set it evicts the least
-recently used plan, which keeps a long-lived serving process from
-accumulating plans for configurations it no longer sees.
+The cache is optionally bounded: with ``max_entries`` set it evicts
+the least recently used plan, which keeps a long-lived serving process
+from accumulating plans for configurations it no longer sees.  Like
+every runtime object it belongs to one thread of control; fan-out
+across processes shares nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
@@ -39,22 +38,6 @@ from .plan import ExecutionPlan
 if TYPE_CHECKING:   # pragma: no cover - typing only (avoids a cycle)
     from ..compile.program import CompiledProgram
     from ..nn import Graph
-
-
-def _drop_programs(programs: "OrderedDict[Tuple[PlanKey, int], "
-                             "CompiledProgram]",
-                   key: "PlanKey") -> int:
-    """Drop every program attached to ``key``; returns the count.
-
-    Mutates the mapping it is handed; callers must hold the cache
-    lock, which is why this lives outside the class -- the linter can
-    then see every write to cache state happen under ``with
-    self._lock``.
-    """
-    dropped = [pk for pk in programs if pk[0] == key]
-    for pk in dropped:
-        del programs[pk]
-    return len(dropped)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,7 +81,6 @@ class PlanCache:
         self._plans: "OrderedDict[PlanKey, ExecutionPlan]" = OrderedDict()
         self._programs: ("OrderedDict[Tuple[PlanKey, int], "
                          "CompiledProgram]") = OrderedDict()
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -107,23 +89,20 @@ class PlanCache:
         self.program_evictions = 0
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._plans)
+        return len(self._plans)
 
     def __contains__(self, key: PlanKey) -> bool:
-        with self._lock:
-            return key in self._plans
+        return key in self._plans
 
     def get(self, key: PlanKey) -> Optional[ExecutionPlan]:
         """The cached plan for ``key`` (counts a hit or a miss)."""
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-                self._plans.move_to_end(key)
-            return plan
+        plan = self._plans.get(key)
+        if plan is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+            self._plans.move_to_end(key)
+        return plan
 
     def put(self, key: PlanKey, plan: ExecutionPlan) -> None:
         """Store ``plan`` under ``key``, evicting the least recently
@@ -133,29 +112,28 @@ class PlanCache:
         compiled program attached to that key -- a program lowers one
         specific plan and must never outlive it.
         """
-        with self._lock:
-            replaced = key in self._plans
-            self._plans[key] = plan
-            self._plans.move_to_end(key)
-            if replaced:
-                self.program_evictions += _drop_programs(self._programs,
-                                                         key)
-            if (self.max_entries is not None
-                    and len(self._plans) > self.max_entries):
-                evicted_key, _ = self._plans.popitem(last=False)
-                self.evictions += 1
-                self.program_evictions += _drop_programs(self._programs,
-                                                         evicted_key)
+        replaced = key in self._plans
+        self._plans[key] = plan
+        self._plans.move_to_end(key)
+        if replaced:
+            self._drop_programs(key)
+        if (self.max_entries is not None
+                and len(self._plans) > self.max_entries):
+            evicted_key, _ = self._plans.popitem(last=False)
+            self.evictions += 1
+            self._drop_programs(evicted_key)
+
+    def _drop_programs(self, key: PlanKey) -> None:
+        """Drop every program attached to ``key``."""
+        dropped = [pk for pk in self._programs if pk[0] == key]
+        for pk in dropped:
+            del self._programs[pk]
+        self.program_evictions += len(dropped)
 
     def get_or_build(self, key: PlanKey,
                      builder: Callable[[], ExecutionPlan]
                      ) -> ExecutionPlan:
-        """The cached plan, building and storing it on a miss.
-
-        The builder runs outside the lock (partitioning is slow);
-        concurrent misses on the same key may build twice, and the
-        last write wins -- plans for one key are interchangeable.
-        """
+        """The cached plan, building and storing it on a miss."""
         plan = self.get(key)
         if plan is None:
             plan = builder()
@@ -166,8 +144,7 @@ class PlanCache:
 
     def program_count(self) -> int:
         """Number of compiled programs currently cached."""
-        with self._lock:
-            return len(self._programs)
+        return len(self._programs)
 
     def get_program(self, key: PlanKey, batch: int,
                     graph: "Optional[Graph]" = None,
@@ -181,19 +158,18 @@ class PlanCache:
         weight arrays, or the calibration table differs -- is dropped
         and the lookup counts as a miss.
         """
-        with self._lock:
-            program = self._programs.get((key, batch))
-            if program is not None and graph is not None \
-                    and not program.matches(graph, calibration):
-                del self._programs[(key, batch)]
-                self.program_evictions += 1
-                program = None
-            if program is None:
-                self.program_misses += 1
-            else:
-                self.program_hits += 1
-                self._programs.move_to_end((key, batch))
-            return program
+        program = self._programs.get((key, batch))
+        if program is not None and graph is not None \
+                and not program.matches(graph, calibration):
+            del self._programs[(key, batch)]
+            self.program_evictions += 1
+            program = None
+        if program is None:
+            self.program_misses += 1
+        else:
+            self.program_hits += 1
+            self._programs.move_to_end((key, batch))
+        return program
 
     def put_program(self, key: PlanKey, batch: int,
                     program: "CompiledProgram") -> None:
@@ -203,17 +179,16 @@ class PlanCache:
         or predate its plan); evicts the least recently used program
         beyond ``max_entries``.
         """
-        with self._lock:
-            if key not in self._plans:
-                raise KeyError(
-                    f"cannot cache a program for {key}: no plan is "
-                    "cached under that key")
-            self._programs[(key, batch)] = program
-            self._programs.move_to_end((key, batch))
-            if (self.max_entries is not None
-                    and len(self._programs) > self.max_entries):
-                self._programs.popitem(last=False)
-                self.program_evictions += 1
+        if key not in self._plans:
+            raise KeyError(
+                f"cannot cache a program for {key}: no plan is "
+                "cached under that key")
+        self._programs[(key, batch)] = program
+        self._programs.move_to_end((key, batch))
+        if (self.max_entries is not None
+                and len(self._programs) > self.max_entries):
+            self._programs.popitem(last=False)
+            self.program_evictions += 1
 
     @property
     def hit_rate(self) -> float:
@@ -229,16 +204,13 @@ class PlanCache:
 
     def stats(self) -> Dict[str, float]:
         """Counters as a JSON-friendly dict."""
-        with self._lock:
-            entries = float(len(self._plans))
-            program_entries = float(len(self._programs))
         return {
-            "entries": entries,
+            "entries": float(len(self._plans)),
             "hits": float(self.hits),
             "misses": float(self.misses),
             "hit_rate": self.hit_rate,
             "evictions": float(self.evictions),
-            "program_entries": program_entries,
+            "program_entries": float(len(self._programs)),
             "program_hits": float(self.program_hits),
             "program_misses": float(self.program_misses),
             "program_hit_rate": self.program_hit_rate,

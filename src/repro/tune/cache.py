@@ -12,8 +12,6 @@ processes -- are tuned exactly once.  Records persist as JSON under
   different runtime are meaningless here, so a mismatch discards it;
 * each record stores the candidate set it chose from; offering a
   different set (variants added or removed) re-tunes that signature.
-
-Thread-safe: all mutation happens under one reentrant lock.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import os
 import pathlib
 import platform
 import tempfile
-import threading
 from typing import Any, Dict, Iterable, Optional
 
 import numpy as np
@@ -80,7 +77,7 @@ def runtime_fingerprint() -> Dict[str, str]:
 
 
 class TuneCache:
-    """Thread-safe, optionally persistent store of tuning records.
+    """Optionally persistent store of tuning records.
 
     Args:
         path: JSON file backing the cache.  ``None`` keeps the cache
@@ -96,7 +93,6 @@ class TuneCache:
         self.path = pathlib.Path(path) if path is not None else None
         self.fingerprint = runtime_fingerprint()
         self._records: Dict[str, Dict[str, Any]] = {}
-        self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
         self.invalidated = 0
@@ -111,40 +107,38 @@ class TuneCache:
             return
         if not isinstance(raw, dict):
             return
-        with self._lock:
-            if (raw.get("version") != CACHE_VERSION
-                    or raw.get("fingerprint") != self.fingerprint):
-                self.invalidated += 1
-                return
-            records = raw.get("records")
-            if isinstance(records, dict):
-                self._records = {
-                    str(sig): dict(rec) for sig, rec in records.items()
-                    if isinstance(rec, dict) and "variant" in rec
-                }
+        if (raw.get("version") != CACHE_VERSION
+                or raw.get("fingerprint") != self.fingerprint):
+            self.invalidated += 1
+            return
+        records = raw.get("records")
+        if isinstance(records, dict):
+            self._records = {
+                str(sig): dict(rec) for sig, rec in records.items()
+                if isinstance(rec, dict) and "variant" in rec
+            }
 
     def save(self) -> None:
         """Atomically persist the records (no-op for memory caches)."""
         if self.path is None:
             return
-        with self._lock:
-            payload = {
-                "version": CACHE_VERSION,
-                "fingerprint": self.fingerprint,
-                "records": self._records,
-            }
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            handle = tempfile.NamedTemporaryFile(
-                "w", dir=str(self.path.parent), suffix=".tmp",
-                delete=False)
-            try:
-                with handle:
-                    json.dump(payload, handle, indent=2, sort_keys=True)
-                    handle.write("\n")
-                os.replace(handle.name, self.path)
-            except BaseException:
-                os.unlink(handle.name)
-                raise
+        payload = {
+            "version": CACHE_VERSION,
+            "fingerprint": self.fingerprint,
+            "records": self._records,
+        }
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        handle = tempfile.NamedTemporaryFile(
+            "w", dir=str(self.path.parent), suffix=".tmp",
+            delete=False)
+        try:
+            with handle:
+                json.dump(payload, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+            os.replace(handle.name, self.path)
+        except BaseException:
+            os.unlink(handle.name)
+            raise
 
     def get(self, signature: str,
             candidates: Iterable[str]) -> Optional[str]:
@@ -155,15 +149,14 @@ class TuneCache:
         re-tune.
         """
         offered = sorted(candidates)
-        with self._lock:
-            record = self._records.get(signature)
-            if (record is None
-                    or record.get("candidates") != offered
-                    or record.get("variant") not in offered):
-                self.misses += 1
-                return None
-            self.hits += 1
-            return str(record["variant"])
+        record = self._records.get(signature)
+        if (record is None
+                or record.get("candidates") != offered
+                or record.get("variant") not in offered):
+            self.misses += 1
+            return None
+        self.hits += 1
+        return str(record["variant"])
 
     def put(self, signature: str, variant: str,
             candidates: Iterable[str],
@@ -176,21 +169,15 @@ class TuneCache:
         if timings_ms:
             record["ms"] = {name: float(ms)
                             for name, ms in sorted(timings_ms.items())}
-        with self._lock:
-            self._records[signature] = record
+        self._records[signature] = record
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
+        return len(self._records)
 
     def records(self) -> Dict[str, Dict[str, Any]]:
         """A snapshot copy of all records (for inspection/tests)."""
-        with self._lock:
-            return {sig: dict(rec)
-                    for sig, rec in self._records.items()}
+        return {sig: dict(rec) for sig, rec in self._records.items()}
 
     def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {"records": len(self._records), "hits": self.hits,
-                    "misses": self.misses,
-                    "invalidated": self.invalidated}
+        return {"records": len(self._records), "hits": self.hits,
+                "misses": self.misses, "invalidated": self.invalidated}

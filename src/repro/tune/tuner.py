@@ -1,10 +1,9 @@
 """Per-step kernel-variant selection by measurement.
 
 The compiler builds every *legal* lowering of a step (the reference
-im2col+GEMM path plus the applicable alternatives from
-:mod:`repro.kernels.variants`) and asks a :class:`Tuner` which one to
-bake into the :class:`~repro.compile.program.CompiledProgram`.  The
-tuner:
+lowering plus the alternatives :mod:`repro.compile.compiler` offers
+steps with a float part) and asks a :class:`Tuner` which one to bake
+into the :class:`~repro.compile.program.CompiledProgram`.  The tuner:
 
 1. consults its :class:`~repro.tune.cache.TuneCache` -- a hit (same
    signature, same candidate set, same runtime fingerprint) answers

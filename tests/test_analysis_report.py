@@ -11,7 +11,7 @@ from repro.analysis import (Diagnostic, Report, Severity, apply_baseline,
 
 def _sample_report():
     report = Report()
-    report.warning("CL001", "src/x.py:10", "unguarded write")
+    report.warning("CL003", "src/x.py:10", "unseeded draw")
     report.error("MF001", "vgg_mini", "peak exceeds DRAM")
     report.info("CL004", "src/y.py:3", "wall-clock read")
     report.error("SC001", "fleet", "rho past 1")
@@ -34,7 +34,7 @@ class TestRoundTrips:
         report = _sample_report()
         payload = json.loads(report.to_json())
         assert [entry["rule"] for entry in payload] == [
-            "CL001", "MF001", "CL004", "SC001"]
+            "CL003", "MF001", "CL004", "SC001"]
 
     def test_from_json_rejects_non_list(self):
         with pytest.raises(ValueError):
@@ -60,7 +60,7 @@ class TestOrderingAndMerge:
         report = _sample_report().sorted()
         keys = [d.sort_key for d in report]
         assert keys == sorted(keys)
-        assert [d.rule for d in report] == ["CL001", "CL004", "MF001",
+        assert [d.rule for d in report] == ["CL003", "CL004", "MF001",
                                            "SC001"]
 
     def test_sorted_is_stable_for_equal_keys(self):
@@ -74,7 +74,7 @@ class TestOrderingAndMerge:
         left = Report()
         left.error("MF001", "a", "m1")
         right = Report()
-        right.warning("CL001", "b", "m2")
+        right.warning("CL003", "b", "m2")
         returned = left.extend(right)
         assert returned is left
         assert len(left) == 2
@@ -87,9 +87,9 @@ class TestOrderingAndMerge:
 
     def test_severity_ordering_errors_first(self):
         report = Report()
-        report.info("CL004", "same", "info")
-        report.error("CL002", "same", "error")
-        report.warning("CL001", "same", "warning")
+        report.info("MF001", "same", "info")
+        report.error("DT001", "same", "error")
+        report.warning("CL003", "same", "warning")
         ranks = [d.severity for d in report.sorted()]
         assert ranks == [Severity.WARNING, Severity.ERROR,
                          Severity.INFO]    # rule id dominates severity
@@ -130,9 +130,9 @@ class TestSarif:
         assert len(run["results"]) == 4
         by_rule = {r["ruleId"]: r for r in run["results"]}
         assert by_rule["MF001"]["level"] == "error"
-        assert by_rule["CL001"]["level"] == "warning"
+        assert by_rule["CL003"]["level"] == "warning"
         assert by_rule["CL004"]["level"] == "note"
-        location = by_rule["CL001"]["locations"][0]["physicalLocation"]
+        location = by_rule["CL003"]["locations"][0]["physicalLocation"]
         assert location["artifactLocation"]["uri"] == "src/x.py"
         assert location["region"]["startLine"] == 10
 
@@ -142,15 +142,15 @@ class TestSarif:
             "repro-analysis")
 
     def test_fingerprint_survives_line_drift(self):
-        before = Diagnostic(Severity.WARNING, "CL001", "src/x.py:10",
-                            "unguarded write")
-        after = Diagnostic(Severity.WARNING, "CL001", "src/x.py:99",
-                           "unguarded write")
+        before = Diagnostic(Severity.WARNING, "CL003", "src/x.py:10",
+                            "unseeded draw")
+        after = Diagnostic(Severity.WARNING, "CL003", "src/x.py:99",
+                           "unseeded draw")
         assert fingerprint(before) == fingerprint(after)
 
     def test_fingerprint_distinguishes_messages(self):
-        a = Diagnostic(Severity.WARNING, "CL001", "src/x.py:10", "one")
-        b = Diagnostic(Severity.WARNING, "CL001", "src/x.py:10", "two")
+        a = Diagnostic(Severity.WARNING, "CL003", "src/x.py:10", "one")
+        b = Diagnostic(Severity.WARNING, "CL003", "src/x.py:10", "two")
         assert fingerprint(a) != fingerprint(b)
 
     def test_baseline_suppresses_exactly_its_findings(self):

@@ -93,31 +93,6 @@ class TestPlanCache:
         with pytest.raises(ValueError):
             PlanCache(max_entries=0)
 
-    def test_thread_safety(self):
-        import threading
-        cache = PlanCache(max_entries=16)
-        errors = []
-
-        def worker(seed):
-            try:
-                for i in range(200):
-                    key = PlanKey("m", "s", "cpu", f"p{(seed + i) % 32}")
-                    if cache.get(key) is None:
-                        cache.put(key, f"plan-{key.policy}")
-                    cache.stats()
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(t,))
-                   for t in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert len(cache) <= 16
-        assert cache.hits + cache.misses == 4 * 200
-
 
 class TestMuLayerCacheIntegration:
     def test_plan_memoized_through_cache(self):
