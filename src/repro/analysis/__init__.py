@@ -8,8 +8,8 @@ Six analyzers, one diagnostic vocabulary:
   and -- via :func:`verify_program` -- proves a lowered
   :class:`~repro.compile.program.CompiledProgram` consistent with the
   plan it claims to implement (rule ``PV012``), and
-  :func:`verify_tuned_variants` proves every autotuned step's kernel
-  variant legal for its step (rule ``PV014``);
+  :func:`verify_tuned_variants` proves every step's kernel variant
+  legal for its step (rule ``PV014``);
 * :class:`TimelineRaceDetector` -- checks a post-run
   :class:`~repro.soc.Timeline` against the graph's happens-before
   relation and the CPU-accelerator handoff protocol

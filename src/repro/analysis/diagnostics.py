@@ -68,10 +68,9 @@ RULES: Dict[str, str] = {
     "PV012": "compiled program inconsistent with its plan (step "
              "coverage, placements, channel ranges, storage dtypes, "
              "batch, or stale weight references)",
-    "PV014": "tuned kernel variant illegal for its step (unknown "
-             "variant name, variant on a shape/kind/dtype it was never "
-             "derived for, or a non-reference variant in an untuned "
-             "program)",
+    "PV014": "kernel variant illegal for its step (unknown variant "
+             "name, or a variant on a shape/kind/dtype it was never "
+             "derived for)",
     # -- TimelineRaceDetector ----------------------------------------------
     "RC001": "two busy intervals overlap on one resource",
     "RC002": "compute segment starts before a producer layer's compute "

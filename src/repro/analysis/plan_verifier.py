@@ -29,9 +29,9 @@ reports *every* violation as a structured diagnostic:
   metadata -- step coverage and order, per-step placements and channel
   ranges, storage dtypes, batch, and weight freshness -- against the
   plan it claims to lower (PV012);
-* tuned-variant legality: :func:`verify_tuned_variants` proves every
-  autotuned step's kernel variant statically legal for its step's
-  kind, geometry, and batch (PV014).
+* kernel-variant legality: :func:`verify_tuned_variants` proves every
+  step's kernel variant statically legal for its step's kind,
+  geometry, and dtypes (PV014).
 """
 
 from __future__ import annotations
@@ -434,47 +434,44 @@ def verify_program(graph: Graph, plan: ExecutionPlan,
     return report
 
 
-# -- tuned-variant legality (PV014) -------------------------------------------
+# -- kernel-variant legality (PV014) ------------------------------------------
 
 def verify_tuned_variants(graph: Graph, plan: ExecutionPlan,
                           program: "CompiledProgram") -> Report:
-    """PV014: prove every tuned step's kernel variant legal.
+    """PV014: prove every step's kernel variant legal.
 
-    The autotuner validates variants dynamically (byte identity on a
-    synthesized input); this rule re-proves the *static* side of each
-    selection from the program's metadata alone, so a tampered or
-    hand-built program cannot smuggle a variant onto a step shape it
-    was never derived for:
+    The compiler admits ``direct1x1`` dynamically (byte identity with
+    the reference lowering on a synthesized input); this rule re-proves
+    the *static* side of each choice from the program's metadata alone,
+    so a tampered or hand-built program cannot smuggle a variant onto a
+    step shape it was never derived for:
 
     * the variant name is known;
     * ``direct1x1`` only on 1x1/stride-1/unpadded convs (anything else
       has a non-trivial im2col the direct GEMM would skip);
-    * ``folded`` only on conv/FC steps at batch > 1 (at batch 1 the
-      reference is already a single GEMM call);
-    * either only on a step with at least one float part: both change
-      float parts alone, and an integer part's reference lowering is
-      already its only one (at k=1 the shifted-tap kernel *is* the
-      direct NCHW GEMM), so an integer-only step is never tuned;
-    * an untuned program carries the reference lowering everywhere.
+    * ``direct1x1`` only on a step with at least one float part: it
+      changes float parts alone, and an integer part's reference
+      lowering is already its only one (at k=1 the shifted-tap kernel
+      *is* the direct NCHW GEMM).
 
-    Returns a report with one PV014 error per violated invariant.
+    Whether a legal ``direct1x1`` was *taken* depends on the byte
+    check, i.e. on the host BLAS, so the rule checks legality, not the
+    choice itself.  Returns a report with one PV014 error per violated
+    invariant.
     """
     report = Report()
 
     def bad(locus: str, message: str) -> None:
         report.error("PV014", locus, message)
 
-    tuned = bool(getattr(program, "tuned", False))
-    batch = program.batch
     for step in program.steps:
         variant = getattr(step, "variant", "reference")
         if variant == "reference":
             continue
         locus = step.layer
-        if not tuned:
-            bad(locus, f"untuned program carries variant {variant!r}; "
-                "only autotuned compilation may deviate from the "
-                "reference lowering")
+        if variant != "direct1x1":
+            bad(locus, f"unknown kernel variant {variant!r}")
+            continue
         if step.layer not in graph:
             bad(locus, f"variant {variant!r} on a step absent from the "
                 "graph")
@@ -483,24 +480,13 @@ def verify_tuned_variants(graph: Graph, plan: ExecutionPlan,
         kernel = getattr(layer, "kernel", None)
         stride = getattr(layer, "stride", None)
         padding = getattr(layer, "padding", None)
-        if variant == "direct1x1":
-            if step.kind != "conv":
-                bad(locus, f"direct1x1 on a {step.kind!r} step; only "
-                    "convolutions have an im2col to skip")
-            elif (kernel, stride, padding) != (1, 1, 0):
-                bad(locus, "direct1x1 requires a 1x1/stride-1/unpadded "
-                    f"conv, got kernel={kernel} stride={stride} "
-                    f"padding={padding}")
-        elif variant == "folded":
-            if step.kind not in ("conv", "fc"):
-                bad(locus, f"folded GEMM on a {step.kind!r} step")
-            elif not isinstance(batch, int) or batch <= 1:
-                bad(locus, "folded GEMM at batch "
-                    f"{batch!r}; the reference already makes a single "
-                    "GEMM call per part at batch 1")
-        else:
-            bad(locus, f"unknown kernel variant {variant!r}")
-            continue
+        if step.kind != "conv":
+            bad(locus, f"direct1x1 on a {step.kind!r} step; only "
+                "convolutions have an im2col to skip")
+        elif (kernel, stride, padding) != (1, 1, 0):
+            bad(locus, "direct1x1 requires a 1x1/stride-1/unpadded "
+                f"conv, got kernel={kernel} stride={stride} "
+                f"padding={padding}")
         if step.dtype is DType.QUINT8 and all(
                 plan.policy.compute_dtype(resource) is DType.QUINT8
                 for resource, _ in step.placements):

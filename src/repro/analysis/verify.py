@@ -144,7 +144,8 @@ def verify_mechanism(soc: SoCSpec, graph: Graph, mechanism: str,
 
 def _verify_compiled(graph: Graph, plan: ExecutionPlan,
                      calibration: Optional[CalibrationTable]) -> Report:
-    """Lower ``plan`` and check the program against it (PV012).
+    """Lower ``plan`` and check the program against it (PV012) and
+    each step's kernel variant against its step (PV014).
 
     Quantized policies need activation ranges; when the caller has no
     calibration table one is derived from a deterministic synthetic
@@ -156,7 +157,7 @@ def _verify_compiled(graph: Graph, plan: ExecutionPlan,
     from ..compile import compile_program
     from ..errors import PlanError, QuantizationError
     from ..nn import calibrate_graph
-    from .plan_verifier import verify_program
+    from .plan_verifier import verify_program, verify_tuned_variants
 
     report = Report()
     try:
@@ -170,7 +171,8 @@ def _verify_compiled(graph: Graph, plan: ExecutionPlan,
         report.error("PV012", "program",
                      f"plan failed to compile: {exc}")
         return report
-    return report.extend(verify_program(graph, plan, program))
+    report.extend(verify_program(graph, plan, program))
+    return report.extend(verify_tuned_variants(graph, plan, program))
 
 
 @dataclasses.dataclass(frozen=True)

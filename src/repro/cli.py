@@ -19,7 +19,7 @@ Commands:
   (``BENCHMARK.json``).
 
 ``run`` and ``verify`` accept ``--compiled`` (run the compiled fused
-execution path / prove it consistent, rule PV012).
+execution path / prove it consistent, rules PV012 and PV014).
 ``run``, ``compare``, ``verify``, ``serve``, ``cluster``, and
 ``bench`` all accept ``--json`` for machine-readable output.
 ``verify``, ``figure``, ``serve``, and ``cluster`` accept
@@ -81,16 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "byte-identity against the per-layer "
                           "interpreter, and reports the program's "
                           "fused steps and arena size")
-    run.add_argument("--autotune", action="store_true",
-                     help="with --compiled: microbenchmark the legal "
-                          "kernel variants of every fused step at "
-                          "compile time and bake the fastest into the "
-                          "program (decisions persist in the tune "
-                          "cache)")
-    run.add_argument("--tune-cache", default=None, metavar="PATH",
-                     help="tune-cache file for --autotune (default: "
-                          "~/.cache/repro-tune/cache.json, or "
-                          "$XDG_CACHE_HOME when set)")
     run.add_argument("--plan", action="store_true",
                      help="print the execution plan")
     run.add_argument("--gantt", action="store_true",
@@ -389,37 +379,21 @@ def _cmd_list_socs() -> int:
     return 0
 
 
-def _make_tuner(args: argparse.Namespace):
-    """The Tuner ``run --autotune`` asks for, or None."""
-    if not args.autotune:
-        return None
-    from .tune import TuneCache, Tuner, default_cache_path
-    path = (args.tune_cache if args.tune_cache is not None
-            else default_cache_path())
-    return Tuner(cache=TuneCache(path))
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     soc = soc_by_name(args.soc)
     if args.compiled and args.mechanism != "mulayer":
         print("run: --compiled requires --mechanism mulayer",
               file=sys.stderr)
         return 2
-    if args.autotune and not args.compiled:
-        print("run: --autotune requires --compiled", file=sys.stderr)
-        return 2
     graph = build_model(args.model, with_weights=args.compiled)
     compiled_info: Optional[Dict[str, object]] = None
     if args.mechanism == "mulayer":
-        tuner = _make_tuner(args)
         runtime = MuLayer(soc, use_oracle_costs=args.oracle,
-                          compiled=args.compiled, tuner=tuner)
+                          compiled=args.compiled)
         if args.compiled:
             result, compiled_info = _run_compiled(runtime, graph)
             compiled_info["plan_cache"] = runtime.plan_cache.stats()
             compiled_info["executor"] = runtime.executor.stats()
-            if tuner is not None:
-                tuner.flush()
         else:
             result = runtime.run(graph)
         plan = runtime.plan(graph)
@@ -462,10 +436,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if compiled_info is not None:
         identical = compiled_info["byte_identical"]
         steps = compiled_info["steps"]
-        tuned = ", autotuned" if compiled_info.get("tuned") else ""
         print(f"\ncompiled program ({len(steps)} fused steps, arena "
               f"{compiled_info['arena_bytes']} bytes in "
-              f"{compiled_info['arena_slots']} slots{tuned}):")
+              f"{compiled_info['arena_slots']} slots):")
         for step in steps:
             where = "+".join(p["resource"]
                              for p in step["placements"]) or "-"

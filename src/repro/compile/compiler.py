@@ -37,6 +37,15 @@ and emits one fused step per compute layer:
   would change float results between batch sizes.  The per-sample
   calls are exactly the ones the functional path makes, so batch-N
   output rows equal N stacked batch-1 runs, byte for byte;
+* **direct 1x1 float GEMM** -- a float part of a 1x1/stride-1/
+  unpadded conv runs ``W (oc, C) @ X (N, C, H*W)`` on the NCHW input
+  (``direct1x1``), skipping im2col and the output fold, wherever its
+  GEMM sums reproduce the reference lowering's bytes on the step's
+  seeded synthetic input; elsewhere the step keeps the reference
+  lowering.  The check is what makes the rule safe: the direct GEMM
+  changes the BLAS call shape, which on some shapes changes the
+  summation order (see :meth:`_Lowering._choose`).  An optional
+  :class:`~repro.tune.Tuner` times the surviving lowerings instead;
 * **static resolution** -- quantization parameters propagate through
   the graph at compile time (pass-through kinds inherit their input's
   parameters, everything else reads the calibration table), so no
@@ -110,8 +119,10 @@ _GemmLayer = Union[Conv2D, FullyConnected]
 #: lhs) from the step's single input array.
 PrepareFn = Callable[[np.ndarray], np.ndarray]
 
-#: A lowering candidate offered to the tuner: (variant name, step fn).
-_StepCandidate = Tuple[str, StepFn]
+#: A step lowering offered to :meth:`_Lowering._choose`: (variant
+#: name, step fn, sums fn).  The sums fn returns the step's float
+#: GEMM sums before the output rounding and store.
+_StepCandidate = Tuple[str, StepFn, StepFn]
 
 #: Kinds whose quantization parameters pass through from their input.
 _QPARAMS_PASSTHROUGH = frozenset({
@@ -230,13 +241,13 @@ class _Lowering:
         w_qparams = QuantParams.from_array(weights)
         return w_qparams.quantize(weights), w_qparams
 
-    # -- autotuning -----------------------------------------------------------
+    # -- lowering choice ------------------------------------------------------
 
     def _signature(self, name: str) -> str:
-        """The step's tuning signature: everything the kernel ranking
-        can depend on (op, geometry, shapes, dtypes, placements,
-        batch) and nothing it cannot (layer/model names are absent, so
-        identical steps share one cache record)."""
+        """The step's signature: everything the kernel ranking can
+        depend on (op, geometry, shapes, dtypes, placements, batch) and
+        nothing it cannot (layer/model names are absent, so identical
+        steps share one tune record and one check input)."""
         layer = self.graph.layer(name)
         geometry = []
         for attr in ("kernel", "stride", "padding", "out_channels",
@@ -259,8 +270,8 @@ class _Lowering:
                     signature: str) -> Callable[[], np.ndarray]:
         """Deterministic synthetic input for the step's producer.
 
-        Seeded from the signature so identical steps tune on identical
-        data, independent of layer or model naming.
+        Seeded from the signature so identical steps are checked and
+        tuned on identical data, independent of layer or model naming.
         """
         (producer,) = self.graph.inputs_of(name)
         shape = self.out_shape(producer)
@@ -278,23 +289,36 @@ class _Lowering:
 
     def _choose(self, name: str, candidates: List[_StepCandidate]
                 ) -> Tuple[StepFn, str]:
-        """Ask the tuner to pick among the step's legal lowerings.
+        """Pick among the step's legal lowerings.
 
-        ``candidates[0]`` is the reference; without a tuner (or with a
-        single candidate) it wins unconditionally, so untuned
-        compilation is exactly the code path that existed before
-        autotuning.
+        ``candidates[0]`` is the reference.  Every alternative runs
+        once on the step's seeded synthetic input and is dropped unless
+        its float GEMM sums reproduce the reference's bytes: an
+        alternative changes a float part's BLAS call shape, and whether
+        that changes the summation order depends on the shape and the
+        host BLAS.  The sums are compared *before* the output rounding:
+        rounding to f16 or to uint8 codes hides a changed sum on many
+        inputs, so an output check can pass on the synthetic input and
+        still fail on real ones.  Without a tuner the alternative wins
+        wherever it survives; with one, the survivors are timed.
         """
-        ref_name, ref_fn = candidates[0]
-        if self.tuner is None or len(candidates) == 1:
-            return ref_fn, ref_name
+        ref_name, ref_fn, ref_sums = candidates[0]
         signature = self._signature(name)
-        winner = self.tuner.select(signature, candidates,
-                                   self._tune_input(name, signature))
-        for cand, fn in candidates:
-            if cand == winner:
-                return fn, cand
-        return ref_fn, ref_name
+        make_input = self._tune_input(name, signature)
+        inputs = [make_input()]
+        reference = np.asarray(ref_sums(inputs))
+        survivors = [(ref_name, ref_fn)]
+        for cand, fn, sums in candidates[1:]:
+            out = np.asarray(sums(inputs))
+            if (out.dtype == reference.dtype
+                    and out.shape == reference.shape
+                    and out.tobytes() == reference.tobytes()):
+                survivors.append((cand, fn))
+        if self.tuner is None or len(survivors) == 1:
+            winner, fn = survivors[-1]
+            return fn, winner
+        winner = self.tuner.select(signature, survivors, make_input)
+        return dict(survivors)[winner], winner
 
     # -- GEMM layers (conv / FC) ----------------------------------------------
 
@@ -327,32 +351,35 @@ class _Lowering:
         lhs_builders = self._gemm_lhs_builders(layer, x_qparams)
         axis = 1 if len(self.out_shape(name)) >= 2 else 0
 
-        candidates: List[_StepCandidate] = [
-            ("reference", self._gemm_fn(parts, lhs_builders, axis))]
+        reference = self._gemm_fn(parts, lhs_builders, axis)
         # An integer part's lowering is fixed by a static rule (shifted
-        # taps where float32 is exact, else im2col), so only a step
-        # with a float part has alternatives to offer; each
-        # alternative keeps the reference's integer parts.
-        floats = [not self._integer(resource) for resource, _ in placements]
-        if self.tuner is not None and any(floats):
-            direct = self._direct1x1_candidate(name, layer, x_qparams,
-                                               placements, parts,
-                                               lhs_builders, axis)
-            if direct is not None:
-                candidates.append(("direct1x1", direct))
-            if chunk is not None:
-                # Batch-folded float GEMM: one (B*M, K) call instead
-                # of the reference's per-sample call shapes.  Changes
-                # BLAS blocking, so only the tuner's byte check can
-                # admit it (per shape, per batch).
-                folded_parts = [
-                    self._gemm_part(name, layer, resource, rng,
-                                    x_qparams, None) if is_float else part
-                    for (resource, rng), part, is_float
-                    in zip(placements, parts, floats)]
-                candidates.append(("folded", self._gemm_fn(
-                    folded_parts, lhs_builders, axis)))
-        return self._choose(name, candidates)
+        # taps where float32 is exact, else im2col), so only a 1x1 conv
+        # with a float part has an alternative: direct1x1, which keeps
+        # the reference's integer parts.
+        floats = [(resource, rng) for resource, rng in placements
+                  if not self._integer(resource)]
+        if (not floats or not isinstance(layer, Conv2D) or axis != 1
+                or (layer.kernel, layer.stride, layer.padding)
+                != (1, 1, 0)):
+            return reference, "reference"
+        builders = dict(lhs_builders)
+        builders.update(self._direct1x1_builders(
+            x_qparams, int(layer.weights.shape[1])))
+        direct_parts = [
+            part if self._integer(resource)
+            else self._direct1x1_part(name, layer, resource, rng)
+            for (resource, rng), part in zip(placements, parts)]
+        reference_sums = self._gemm_fn(
+            [self._gemm_part(name, layer, resource, rng, x_qparams, chunk,
+                             sums=True) for resource, rng in floats],
+            builders, axis)
+        direct_sums = self._gemm_fn(
+            [self._direct1x1_part(name, layer, resource, rng, sums=True)
+             for resource, rng in floats], builders, axis)
+        return self._choose(name, [
+            ("reference", reference, reference_sums),
+            ("direct1x1", self._gemm_fn(direct_parts, builders, axis),
+             direct_sums)])
 
     def _gemm_fn(self, parts: List[Tuple[str, Callable[[np.ndarray],
                                                        np.ndarray]]],
@@ -474,9 +501,11 @@ class _Lowering:
     def _gemm_part(self, name: str, layer: _GemmLayer, resource: str,
                    rng: Optional[Tuple[int, int]],
                    x_qparams: Optional[QuantParams],
-                   chunk: Optional[int]
+                   chunk: Optional[int], sums: bool = False
                    ) -> Tuple[str, Callable[[np.ndarray], np.ndarray]]:
-        """(lhs variant, bound kernel) of one processor's portion."""
+        """(lhs variant, bound kernel) of one processor's portion;
+        ``sums`` binds a float part's GEMM sums instead (see
+        :meth:`_choose`)."""
         compute = self.policy.compute_dtype(resource)
         if self._integer(resource):
             assert x_qparams is not None
@@ -485,10 +514,12 @@ class _Lowering:
             variant = "half" if compute is DType.F16 else "half_f32"
             return variant, self._float_gemm_part(name, layer, rng,
                                                   compute, chunk,
-                                                  quantized=True)
+                                                  quantized=True,
+                                                  sums=sums)
         variant = "f16" if compute is DType.F16 else "f32"
         return variant, self._float_gemm_part(name, layer, rng, compute,
-                                              chunk, quantized=False)
+                                              chunk, quantized=False,
+                                              sums=sums)
 
     def _part_shape(self, layer: _GemmLayer,
                     rng: Optional[Tuple[int, int]]
@@ -561,9 +592,10 @@ class _Lowering:
     def _float_gemm_part(self, name: str, layer: _GemmLayer,
                          rng: Optional[Tuple[int, int]],
                          compute: DType, chunk: Optional[int],
-                         quantized: bool
+                         quantized: bool, sums: bool = False
                          ) -> Callable[[np.ndarray], np.ndarray]:
-        """F16/F32 pipeline with folded epilogue (bias, ReLU, store)."""
+        """F16/F32 pipeline with folded epilogue (bias, ReLU, store),
+        or with ``sums`` its bias-added GEMM sums folded to NCHW."""
         weights, bias = layer.weights, layer.bias
         if rng is not None:
             lo, hi = rng
@@ -590,11 +622,23 @@ class _Lowering:
             bias32 = np.asarray(bias, dtype=np.float16).astype(
                 np.float32)
 
+            def gemm(lhs: np.ndarray) -> np.ndarray:
+                return lhs @ rhs32 + bias32
+
             def matmul(lhs: np.ndarray) -> np.ndarray:
-                return (lhs @ rhs32 + bias32).astype(np.float16)
+                return gemm(lhs).astype(np.float16)
         else:
-            def matmul(lhs: np.ndarray) -> np.ndarray:
+            def gemm(lhs: np.ndarray) -> np.ndarray:
                 return lhs @ rhs + bias
+
+            matmul = gemm
+
+        if sums:
+            def run_sums(lhs: np.ndarray) -> np.ndarray:
+                return _fold_gemm_output(_matmul_rows(lhs, gemm, chunk),
+                                         shape)
+
+            return run_sums
 
         def run(lhs: np.ndarray) -> np.ndarray:
             out_rows = _matmul_rows(lhs, matmul, chunk)
@@ -615,39 +659,7 @@ class _Lowering:
 
         return run
 
-    # -- tunable GEMM variants ------------------------------------------------
-
-    def _direct1x1_candidate(
-            self, name: str, layer: _GemmLayer,
-            x_qparams: Optional[QuantParams],
-            placements: Tuple[PlacementPart, ...],
-            reference_parts: List[Tuple[str, Callable[[np.ndarray],
-                                                      np.ndarray]]],
-            reference_builders: Dict[str, PrepareFn], axis: int
-    ) -> Optional[StepFn]:
-        """The direct NCHW GEMM lowering of a 1x1 conv, or None.
-
-        A 1x1/stride-1/no-padding conv's im2col is a pure transpose,
-        and its NHWC output fold is the inverse transpose -- so each
-        float part collapses to ``W (oc, C) @ X (N, C, H*W)`` on the
-        native layout, skipping both copies.  Float parts change the
-        BLAS call shape and live or die by the tuner's byte check.
-        Integer parts keep the reference's own kernels: at k=1 the
-        shifted-tap GEMM already is this direct GEMM.
-        """
-        if not isinstance(layer, Conv2D) or axis != 1:
-            return None
-        if (layer.kernel != 1 or layer.stride != 1
-                or layer.padding != 0):
-            return None
-        in_c = int(layer.weights.shape[1])
-        builders = dict(reference_builders)
-        builders.update(self._direct1x1_builders(x_qparams, in_c))
-        parts = [part if self._integer(resource)
-                 else self._direct1x1_part(name, layer, resource, rng)
-                 for (resource, rng), part
-                 in zip(placements, reference_parts)]
-        return self._gemm_fn(parts, builders, axis)
+    # -- the direct 1x1 lowering ---------------------------------------------
 
     def _direct1x1_builders(self, x_qparams: Optional[QuantParams],
                             in_c: int) -> Dict[str, PrepareFn]:
@@ -678,23 +690,35 @@ class _Lowering:
         return builders
 
     def _direct1x1_part(self, name: str, layer: _GemmLayer,
-                        resource: str, rng: Optional[Tuple[int, int]]
+                        resource: str, rng: Optional[Tuple[int, int]],
+                        sums: bool = False
                         ) -> Tuple[str,
                                    Callable[[np.ndarray], np.ndarray]]:
+        """(lhs variant, bound kernel) of one float part of the direct
+        NCHW GEMM lowering of a 1x1 conv.
+
+        A 1x1/stride-1/no-padding conv's im2col is a pure transpose,
+        and its NHWC output fold is the inverse transpose -- so each
+        float part collapses to ``W (oc, C) @ X (N, C, H*W)`` on the
+        native layout, skipping both copies.  Integer parts keep the
+        reference's own kernels: at k=1 the shifted-tap GEMM already
+        is this direct GEMM.
+        """
         compute = self.policy.compute_dtype(resource)
         if self.storage is DType.QUINT8:
             variant = ("nchw_half" if compute is DType.F16
                        else "nchw_half_f32")
             return variant, self._direct1x1_float_part(
-                name, layer, rng, compute, quantized=True)
+                name, layer, rng, compute, quantized=True, sums=sums)
         variant = "nchw_f16" if compute is DType.F16 else "nchw_f32"
         return variant, self._direct1x1_float_part(
-            name, layer, rng, compute, quantized=False)
+            name, layer, rng, compute, quantized=False, sums=sums)
 
     def _direct1x1_float_part(
             self, name: str, layer: _GemmLayer,
             rng: Optional[Tuple[int, int]], compute: DType,
-            quantized: bool) -> Callable[[np.ndarray], np.ndarray]:
+            quantized: bool, sums: bool = False
+    ) -> Callable[[np.ndarray], np.ndarray]:
         weights, bias = layer.weights, layer.bias
         if rng is not None:
             lo, hi = rng
@@ -714,6 +738,13 @@ class _Lowering:
         else:
             w32 = np.ascontiguousarray(w2d)
             bias32 = np.asarray(bias)
+
+        if sums:
+            def run_sums(lhs: np.ndarray) -> np.ndarray:
+                return (np.matmul(w32, lhs)
+                        + bias32[:, None]).reshape(shape)
+
+            return run_sums
 
         def run(lhs: np.ndarray) -> np.ndarray:
             rows = np.matmul(w32, lhs) + bias32[:, None]
@@ -1077,8 +1108,7 @@ class _Lowering:
             graph=self.graph,
             plan=self.plan,
             calibration=self.calibration,
-            weight_refs=tuple(self.weight_refs),
-            tuned=self.tuner is not None)
+            weight_refs=tuple(self.weight_refs))
 
 
 def compile_program(graph: Graph, plan: ExecutionPlan,
@@ -1097,15 +1127,14 @@ def compile_program(graph: Graph, plan: ExecutionPlan,
             A plan built for batch B > 1 only compiles at batch B; a
             batch-1 plan compiles at any batch.
         mechanism: provenance label recorded on the program.
-        tuner: a :class:`~repro.tune.Tuner` to pick each step's kernel
-            variant by measurement; ``None`` (the default) bakes the
-            reference lowering everywhere, which is exactly the
-            pre-autotuning compiler.
+        tuner: a :class:`~repro.tune.Tuner` that times the lowerings
+            which pass the byte check; ``None`` (the default) takes
+            ``direct1x1`` wherever it passes and the reference lowering
+            elsewhere.
 
     Returns:
         The compiled program, byte-identical in its outputs to running
-        the same plan through the functional executor (autotuned
-        programs included).
+        the same plan through the functional executor.
     """
     plan.validate(graph)
     if plan.policy.is_quantized and calibration is None:

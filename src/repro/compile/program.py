@@ -79,9 +79,9 @@ class CompiledStep:
         inputs: producing layers whose outputs this step consumes.
         fn: the bound kernel closure.
         variant: the kernel lowering baked into ``fn`` --
-            ``"reference"`` unless an autotuner selected an
-            alternative (``PV014`` checks the name's legality against
-            the step's shape/dtype).
+            ``"direct1x1"`` where the compiler's byte-checked rule (or
+            a tuner) took it, else ``"reference"`` (``PV014`` checks
+            the name's legality against the step's shape/dtype).
     """
 
     layer: str
@@ -121,8 +121,6 @@ class CompiledProgram:
         weight_refs: ``(layer, weights, bias)`` references captured at
             compile time; replacement via ``set_weights`` makes the
             program stale.
-        tuned: True when an autotuner selected the step variants
-            (even if every winner was the reference lowering).
     """
 
     def __init__(self, graph_name: str, policy_name: str, mechanism: str,
@@ -136,8 +134,7 @@ class CompiledProgram:
                  plan: object,
                  calibration: Optional[CalibrationTable],
                  weight_refs: Tuple[Tuple[str, np.ndarray, np.ndarray],
-                                    ...],
-                 tuned: bool = False) -> None:
+                                    ...]) -> None:
         self.graph_name = graph_name
         self.policy_name = policy_name
         self.mechanism = mechanism
@@ -153,7 +150,6 @@ class CompiledProgram:
         self.plan = plan
         self._calibration = calibration
         self._weight_refs = weight_refs
-        self.tuned = tuned
         # Lazily allocated arena storage (keep="outputs" runs only);
         # reused across runs, so steady state allocates no activations.
         self._arena_buf: Optional[np.ndarray] = None
@@ -199,7 +195,6 @@ class CompiledProgram:
             "policy": self.policy_name,
             "mechanism": self.mechanism,
             "batch": self.batch,
-            "tuned": self.tuned,
             "steps": [
                 {"layer": step.layer, "kind": step.kind,
                  "dtype": str(step.dtype),

@@ -53,7 +53,9 @@ class MuLayer:
             fleet passes one cache to many runtimes); a private cache
             is created when omitted.
         tuner: a :class:`~repro.tune.Tuner`; when set, compiled
-            programs go through per-step kernel-variant autotuning.
+            programs time each step's byte-checked lowerings and keep
+            the faster.  Without one, the compiler takes ``direct1x1``
+            wherever it reproduces the reference's bytes.
     """
 
     def __init__(self, soc: SoCSpec,

@@ -1,24 +1,15 @@
-"""Profile-guided kernel autotuning (compile-time variant selection).
+"""Kernel-variant selection by measurement (optional, compile time).
 
-μLayer's premise is that each layer is won by the execution strategy
-its shape and dtype favor; this package closes the loop for the
-compiled path.  At compile time a :class:`Tuner` microbenchmarks the
-legal lowerings of every step (im2col+GEMM reference, direct 1x1 GEMM
-and batch-folded float GEMM), byte-checks them against the
-reference, and bakes the fastest into the
-:class:`~repro.compile.program.CompiledProgram`.  Decisions persist in
-a versioned, runtime-fingerprinted :class:`TuneCache` so identical
-steps are tuned once per machine, not once per process.
+The compiler byte-checks every alternative lowering of a step against
+the reference and, by default, takes ``direct1x1`` wherever it passes
+(see :mod:`repro.compile.compiler`).  A :class:`Tuner` handed to
+:func:`~repro.compile.compile_program` or ``MuLayer(tuner=...)``
+instead times the lowerings that pass and bakes the faster into the
+:class:`~repro.compile.program.CompiledProgram`; its in-memory
+:class:`TuneCache` answers a repeated step signature without timing
+it again.
 """
 
-from .cache import (CACHE_VERSION, TuneCache, default_cache_path,
-                    runtime_fingerprint)
-from .tuner import Tuner
+from .tuner import TuneCache, Tuner
 
-__all__ = [
-    "CACHE_VERSION",
-    "TuneCache",
-    "Tuner",
-    "default_cache_path",
-    "runtime_fingerprint",
-]
+__all__ = ["TuneCache", "Tuner"]

@@ -107,6 +107,16 @@ class TestCli:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("flags", [["--autotune"],
+                                       ["--tune-cache", "x"]],
+                             ids=["autotune", "tune-cache"])
+    def test_run_has_no_tuning_flags(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--model", "squeezenet_mini", "--compiled",
+                  *flags])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_bench_fleet_json(self, capsys):
         assert main(["bench", "--fleet", "--fleet-requests", "200",
                      "--json"]) == 0

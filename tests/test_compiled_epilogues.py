@@ -234,8 +234,8 @@ COOPERATIVE_KERNELS = {"squeezenet": {1, 3}, "mobilenet": {1},
 @pytest.mark.parametrize("model", sorted(COOPERATIVE_KERNELS))
 def test_full_model_pfq_matches_uncached_interpreter(model, monkeypatch):
     """Full models under the processor-friendly policy, cooperative
-    F16 parts included.  The compiled run calls no
-    ``requantize_prepared`` (every shift is in [0, 13]); the
+    F16 parts and the direct1x1 lowering included.  The compiled run
+    calls no ``requantize_prepared`` (every shift is in [0, 13]); the
     interpreter still does."""
     graph = build_model(model)
     shape = graph.infer_shapes()[graph.input_layers()[0]]
@@ -248,6 +248,10 @@ def test_full_model_pfq_matches_uncached_interpreter(model, monkeypatch):
                    for step in program.steps
                    if step.kind == "conv" and len(step.placements) > 1}
     assert cooperative == COOPERATIVE_KERNELS[model]
+    # Each model runs 1x1 convs with GPU F16 parts, and the untuned
+    # compiler takes direct1x1 wherever it passes its byte check (how
+    # many depends on the host BLAS).
+    assert program.variant_histogram().get("direct1x1", 0) >= 1
 
     calls = []
     definition = linear.requantize_prepared

@@ -21,6 +21,7 @@ import pytest
 from repro.models import MINI_MODELS, build_model
 from repro.nn import calibrate_graph
 from repro.compile import compile_program
+from repro.compile.compiler import _Lowering
 from repro.runtime import (MuLayer, PROCESSOR_FRIENDLY, UNIFORM_F16,
                            UNIFORM_F32, UNIFORM_QUINT8)
 from repro.runtime.baselines import single_processor_plan
@@ -104,6 +105,68 @@ def _assert_program_matches_interpreter(graph, plan, calibration, x):
         assert actual.dtype == expected.dtype, name
         assert actual.data.dtype == expected.data.dtype, name
         assert actual.data.tobytes() == expected.data.tobytes(), name
+
+
+def _assert_matches_uncached(graph, plan, calibration, program, x):
+    """The program's graph outputs equal the uncached interpreter's."""
+    compiled = program.run(x, keep="outputs")
+    interpreted = Executor(EXYNOS_7420, op_caches=False).run(
+        graph, plan, x=x, calibration=calibration)
+    for name in graph.output_layers():
+        assert (compiled[name].data.tobytes()
+                == interpreted.outputs[name].data.tobytes()), name
+
+
+def test_untuned_program_takes_direct1x1(squeezenet_mini,
+                                         squeezenet_calibration,
+                                         single_input):
+    """The 0.5 pfq split gives squeezenet_mini's 1x1 convs F16 parts,
+    so the untuned compiler takes the byte-checked direct1x1 lowering
+    on at least one of them, and the program still reproduces the
+    uncached interpreter."""
+    plan = _split_plan(squeezenet_mini, PROCESSOR_FRIENDLY)
+    program = compile_program(squeezenet_mini, plan,
+                              squeezenet_calibration)
+    assert program.variant_histogram().get("direct1x1", 0) >= 1
+    _assert_matches_uncached(squeezenet_mini, plan,
+                             squeezenet_calibration, program,
+                             single_input)
+
+
+def patch_divergent_direct1x1(monkeypatch):
+    """Make every direct1x1 float part differ from the reference in
+    its last bit: its GEMM sums by one ulp, its stored codes by one."""
+    definition = _Lowering._direct1x1_float_part
+
+    def divergent(self, *args, **kwargs):
+        run = definition(self, *args, **kwargs)
+
+        def perturbed(lhs):
+            out = run(lhs)
+            if out.dtype == np.uint8:
+                return out ^ np.uint8(1)
+            return np.nextafter(out, np.inf)
+
+        return perturbed
+
+    monkeypatch.setattr(_Lowering, "_direct1x1_float_part", divergent)
+
+
+def test_divergent_direct1x1_falls_back_to_reference(
+        monkeypatch, squeezenet_mini, squeezenet_calibration,
+        single_input):
+    """A direct float part that changes one bit fails the compiler's
+    byte check, so every step keeps the reference lowering and the
+    output does not move."""
+    patch_divergent_direct1x1(monkeypatch)
+    plan = _split_plan(squeezenet_mini, PROCESSOR_FRIENDLY)
+    program = compile_program(squeezenet_mini, plan,
+                              squeezenet_calibration)
+    assert program.variant_histogram() == {
+        "reference": len(program.steps)}
+    _assert_matches_uncached(squeezenet_mini, plan,
+                             squeezenet_calibration, program,
+                             single_input)
 
 
 def _calibration_for(policy, name, request):
