@@ -118,19 +118,21 @@ def test_bench_quantize_store(benchmark):
 @pytest.mark.parametrize(
     "channels, size, stride",
     [(32, 112, 1),     # mobilenet conv1/dw
-     (64, 112, 2)],    # mobilenet conv2/dw
-    ids=["conv1_dw", "conv2_dw"])
+     (64, 112, 2),     # mobilenet conv2/dw
+     (128, 56, 1),     # mobilenet conv3/dw
+     (512, 14, 2)],    # mobilenet conv12/dw
+    ids=["conv1_dw", "conv2_dw", "conv3_dw", "conv12_dw"])
 def test_bench_depthwise_direct(benchmark, channels, size, stride):
-    """The direct shifted-view integer depthwise kernel on mobilenet's
-    first two depthwise shapes (3x3, padding 1, batch 1), checked byte
-    for byte against im2col + an int64 einsum wrapped to int32."""
-    from repro.kernels import depthwise_direct, pack_depthwise_taps
+    """The row-GEMM integer depthwise kernel on four of mobilenet's
+    depthwise shapes, stride 1 and 2 (3x3, padding 1, batch 1), checked
+    byte for byte against im2col + an int64 einsum wrapped to int32."""
+    from repro.kernels import depthwise_rows, pack_depthwise_taps
     x = RNG.integers(0, 256, (1, channels, size, size)).astype(np.uint8)
     codes = RNG.integers(0, 256, (channels, 3, 3)).astype(np.uint8)
     taps = pack_depthwise_taps(codes, 128)
     bias = RNG.integers(-2 ** 20, 2 ** 20, (channels, 1, 1)
                         ).astype(np.int32)
-    acc = benchmark(depthwise_direct, x, taps, bias, 3, stride, 1, 3)
+    acc = benchmark(depthwise_rows, x, taps, bias, stride, 1, 3)
     columns = im2col(x.reshape(channels, 1, size, size), 3, stride, 1,
                      pad_value=3.0)
     lhs = columns.astype(np.int64) - 3
@@ -138,6 +140,23 @@ def test_bench_depthwise_direct(benchmark, channels, size, stride):
     want = (np.einsum("npk,nk->np", lhs, rhs, dtype=np.int64)
             + bias.reshape(channels, 1)).astype(np.int32)
     assert acc.tobytes() == want.reshape(acc.shape).tobytes()
+
+
+def test_bench_lrn(benchmark):
+    """LRN at googlenet conv2/norm2's (1, 192, 56, 56), checked byte
+    for byte against the zero-padded cumsum + concatenate formula."""
+    from repro.nn.layers import LRN
+    x = (RNG.standard_normal((1, 192, 56, 56)) * 20).astype(np.float32)
+    layer = LRN("conv2/norm2")
+    out = benchmark(layer.forward_f32, [x])
+    squared = x * x
+    padded = np.zeros((1, 196, 56, 56), dtype=np.float32)
+    padded[:, 2:194] = squared
+    cumsum = np.concatenate([np.zeros((1, 1, 56, 56), np.float32),
+                             np.cumsum(padded, axis=1)], axis=1)
+    window = cumsum[:, 5:] - cumsum[:, :-5]
+    want = x / (1.0 + (1e-4 / 5) * window) ** 0.75
+    assert out.tobytes() == want.astype(np.float32).tobytes()
 
 
 #: googlenet's conv2/3x3 CPU part and inception_3a/3x3: (in_c, out_c,

@@ -75,11 +75,15 @@ channel-independent operation is byte-identical to computing it
 unsplit.  Depthwise layers with *mixed* pipelines (the processor-
 friendly policy's CPU integer / GPU F16 split) do lower per part,
 since their parts genuinely differ numerically.  Integer depthwise
-parts run the direct shifted-view kernel
-(:func:`~repro.kernels.depthwise_direct`) on the input or its channel
-slice and build no im2col columns -- wrapping int32 sums agree with
-the interpreter's in any order; float parts keep im2col + einsum,
-whose summation order the interpreter's bytes pin.
+parts, at every stride, batch and channel slice, run
+:func:`~repro.kernels.depthwise_rows` and build no im2col columns:
+the part's input is centred once into a flat float32 buffer, one
+matmul per row phase gives each filter row's sums and the ``k`` rows
+add up to the output.  Every partial sum stays below ``k**2 * 255**2
+< 2**24`` for ``k <= 16``, so float32 holds it exactly (past that the
+rows add in int32), and the wrapping int32 bias add gives the
+interpreter's int64 sum modulo ``2**32``.  Float parts keep im2col +
+einsum, whose summation order the interpreter's bytes pin.
 """
 
 from __future__ import annotations
@@ -92,7 +96,7 @@ import numpy as np
 
 from ..analysis.memory import plan_arena
 from ..errors import PlanError, QuantizationError
-from ..kernels import (conv_output_hw, conv_shifted, depthwise_direct,
+from ..kernels import (conv_output_hw, conv_shifted, depthwise_rows,
                        exact_in_f32, flatten_filters, im2col, max_pool,
                        pack_depthwise_taps, pack_shifted_taps,
                        qgemm_fused, shifted_input)
@@ -798,9 +802,10 @@ class _Lowering:
             channels_total: int) -> StepFn:
         """The step fn over one set of depthwise parts.
 
-        A part whose column variant is ``None`` (the direct integer
-        kernel) reads the step input itself; the others share one
-        im2col column matrix per variant, built on first use.
+        A part whose column variant is ``None`` (the integer
+        :func:`~repro.kernels.depthwise_rows` kernel) reads the step
+        input itself; the others share one im2col column matrix per
+        variant, built on first use.
         """
 
         def fn(inputs: List[np.ndarray]) -> np.ndarray:
@@ -909,9 +914,9 @@ class _Lowering:
             x_zero = x_qparams.zero_point
 
             def run_int(x: np.ndarray) -> np.ndarray:
-                return requantizer(depthwise_direct(
-                    x[:, lo:hi], taps, bias_i32, layer.kernel,
-                    layer.stride, layer.padding, x_zero))
+                return requantizer(depthwise_rows(
+                    x[:, lo:hi], taps, bias_i32, layer.stride,
+                    layer.padding, x_zero))
 
             return None, rng, run_int
 

@@ -1,7 +1,7 @@
 """Numerical kernels: im2col, float GEMM, quantized GEMM, pooling,
-direct depthwise, shifted-tap integer convolution."""
+row-GEMM integer depthwise, shifted-tap integer convolution."""
 
-from .depthwise import depthwise_direct, pack_depthwise_taps
+from .depthwise import depthwise_rows, pack_depthwise_taps
 from .gemm import gemm_f16, gemm_f32
 from .im2col import (col2im_shape, conv_output_hw, flatten_filters, im2col)
 from .pooling import avg_pool, global_avg_pool, max_pool
@@ -11,7 +11,7 @@ from .shifted import (conv_shifted, exact_in_f32, pack_shifted_taps,
                       shifted_input)
 
 __all__ = [
-    "depthwise_direct",
+    "depthwise_rows",
     "pack_depthwise_taps",
     "gemm_f16",
     "gemm_f32",

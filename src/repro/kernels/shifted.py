@@ -12,7 +12,10 @@ contiguous run of each channel's row starting at ``i*Wp + j``, so
 plain strided view of the buffer with no copy.  The run also covers
 ``Wp - W_out`` wrap columns per output row (and, between samples, the
 ``k - 1`` rows that straddle two planes); the final crop drops them and
-lands the result in NCHW order, with no output fold.
+lands the result in NCHW order, with no output fold.  Given a stride,
+:func:`shifted_input` also splits each plane's rows into stride
+phases, the layout :func:`~repro.kernels.depthwise.depthwise_rows`
+reads.
 
 **Exact in float32.**  The buffer holds the input codes minus their
 zero point (so the padding, which takes the zero point, is 0) and the
@@ -31,6 +34,8 @@ keeps im2col.
 """
 
 from __future__ import annotations
+
+from typing import Tuple
 
 import numpy as np
 
@@ -75,28 +80,47 @@ def exact_in_f32(weight_codes: np.ndarray, weight_zero: int,
     return worst_input * worst_filter < F32_EXACT_LIMIT
 
 
-def shifted_input(x: np.ndarray, kernel: int, padding: int,
-                  zero_point: int) -> np.ndarray:
-    """The centred, zero-padded float32 buffer :func:`conv_shifted`
-    reads.
+def padded_plane(in_h: int, in_w: int, padding: int,
+                 stride: int = 1) -> Tuple[int, int]:
+    """``(rows, cols)`` of one sample's zero-padded plane in
+    :func:`shifted_input`'s layout: the padded map, each side rounded
+    up to a whole multiple of ``stride``."""
+    return (-(-(in_h + 2 * padding) // stride) * stride,
+            -(-(in_w + 2 * padding) // stride) * stride)
 
-    ``x`` is NCHW uint8 codes.  Returns ``(channels, batch*Hp*Wp +
-    kernel - 1)`` float32: per channel, each sample's padded
-    ``Hp x Wp`` plane of ``x - zero_point`` row-major and back to back,
-    then ``kernel - 1`` zeros that the last tap's view runs into.
+
+def shifted_input(x: np.ndarray, kernel: int, padding: int,
+                  zero_point: int, stride: int = 1) -> np.ndarray:
+    """The centred, zero-padded float32 buffer :func:`conv_shifted`
+    and :func:`~repro.kernels.depthwise.depthwise_rows` read.
+
+    ``x`` is NCHW uint8 codes.  Returns ``(channels, phases*batch*Hp*
+    Wp/stride + kernel - 1)`` float32, ``Hp x Wp`` from
+    :func:`padded_plane` and ``phases = min(stride, kernel)``: per
+    channel, row phase ``a`` holds padded rows ``a, a + stride, ...``
+    of ``x - zero_point`` for each sample back to back, row-major; then
+    ``kernel - 1`` zeros that the last tap's view runs into.  At stride
+    1 that is each sample's padded plane, back to back.
     """
     if x.ndim != 4:
         raise ShapeError(
             f"shifted conv expects NCHW input, got shape {x.shape}")
     batch, channels, in_h, in_w = x.shape
-    pad_h, pad_w = in_h + 2 * padding, in_w + 2 * padding
-    plane = batch * pad_h * pad_w
+    pad_h, pad_w = padded_plane(in_h, in_w, padding, stride)
+    phases = min(stride, kernel)
+    rows = pad_h // stride
+    plane = phases * batch * rows * pad_w
     buf = np.zeros((channels, plane + kernel - 1), dtype=np.float32)
-    image = buf[:, :plane].reshape(channels, batch, pad_h, pad_w)
-    np.subtract(x.transpose(1, 0, 2, 3), np.float32(zero_point),
-                dtype=np.float32,
-                out=image[:, :, padding:padding + in_h,
-                          padding:padding + in_w])
+    image = buf[:, :plane].reshape(channels, phases, batch, rows, pad_w)
+    by_channel = x.transpose(1, 0, 2, 3)
+    for phase in range(phases):
+        # Input row h lands on padded row h + padding.
+        first = (phase - padding) % stride
+        src = by_channel[:, :, first::stride]
+        top = (first + padding) // stride
+        np.subtract(src, np.float32(zero_point), dtype=np.float32,
+                    out=image[:, phase, :, top:top + src.shape[2],
+                              padding:padding + in_w])
     return buf
 
 
@@ -132,10 +156,9 @@ def conv_shifted(buf: np.ndarray, taps: np.ndarray, bias: np.ndarray,
                       out=product)
             acc += product
     item = acc.itemsize
-    valid = np.lib.stride_tricks.as_strided(
-        acc, shape=(batch, out_c, out_h, out_w),
-        strides=(pad_h * pad_w * item, span * item, pad_w * item, item),
-        writeable=False)
+    valid = np.ndarray((batch, out_c, out_h, out_w), acc.dtype, acc, 0,
+                       (pad_h * pad_w * item, span * item, pad_w * item,
+                        item))
     out = np.empty((batch, out_c, out_h, out_w), dtype=np.int32)
     np.copyto(out, valid, casting="unsafe")
     out += bias

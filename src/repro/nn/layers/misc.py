@@ -191,8 +191,12 @@ class LRN(Layer):
     def __init__(self, name: str, size: int = 5, alpha: float = 1e-4,
                  beta: float = 0.75, k: float = 1.0) -> None:
         super().__init__(name)
-        if size < 1:
-            raise ShapeError(f"lrn {name!r}: size must be positive")
+        if size < 1 or size % 2 == 0:
+            # The window centres on its channel, so it needs an odd
+            # size (Caffe's local_size is odd too).
+            raise ShapeError(
+                f"lrn {name!r}: size must be a positive odd number, "
+                f"got {size}")
         self.size = size
         self.alpha = alpha
         self.beta = beta
@@ -203,21 +207,25 @@ class LRN(Layer):
 
     def forward_f32(self, inputs: List[np.ndarray]) -> np.ndarray:
         (x,) = inputs
-        x = x.astype(np.float32)
-        squared = x * x
-        channels = x.shape[1]
+        x = x.astype(np.float32, copy=False)
+        batch, channels, height, width = x.shape
         half = self.size // 2
-        # Sum of squares over a sliding channel window via cumulative sums.
-        padded = np.zeros(
-            (x.shape[0], channels + 2 * half, x.shape[2], x.shape[3]),
-            dtype=np.float32)
-        padded[:, half:half + channels] = squared
-        cumsum = np.cumsum(padded, axis=1)
-        cumsum = np.concatenate(
-            [np.zeros_like(cumsum[:, :1]), cumsum], axis=1)
-        window = cumsum[:, self.size:] - cumsum[:, :-self.size]
-        denom = (self.k + (self.alpha / self.size) * window) ** self.beta
-        return (x / denom).astype(np.float32)
+        # Sum of squares over a sliding channel window via cumulative
+        # sums: a zero channel, ``half`` zero channels, the squares and
+        # ``half`` zero channels, summed up in place.
+        sums = np.empty((batch, channels + 2 * half + 1, height, width),
+                        dtype=np.float32)
+        sums[:, :half + 1] = 0.0
+        sums[:, half + 1 + channels:] = 0.0
+        np.multiply(x, x, out=sums[:, half + 1:half + 1 + channels])
+        np.cumsum(sums, axis=1, out=sums)
+        denom = sums[:, self.size:] - sums[:, :-self.size]
+        denom *= np.float32(self.alpha / self.size)
+        denom += np.float32(self.k)
+        # ``self.beta`` as given: numpy maps a Python-float exponent
+        # such as 0.5 or 2.0 to its fast ufunc (sqrt, square).
+        denom **= self.beta
+        return np.divide(x, denom, out=denom)
 
     def work(self, input_shapes: Sequence[Shape]) -> LayerWork:
         elements = int(np.prod(input_shapes[0][1:]))

@@ -1,11 +1,12 @@
 """Byte identity of the direct integer depthwise kernel.
 
 The compiled path lowers every integer depthwise part through
-:func:`~repro.kernels.depthwise_direct` (shifted strided views, int32
-accumulation); the interpreter keeps im2col + an exact int64 einsum.
-Modular int32 addition is order-independent, so the two must agree
-byte for byte on every geometry, zero point, channel slice and bias --
-including a bias that makes the int32 sum wrap.
+:func:`~repro.kernels.depthwise_rows` (``k`` row-GEMMs over one centred
+float32 buffer, exact by bound, int32 bias with wrapping); the
+interpreter keeps im2col + an exact int64 einsum.  Modular int32
+addition is order-independent, so the two must agree byte for byte on
+every geometry, zero point, channel slice and bias -- including a bias
+that makes the int32 sum wrap.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.compile import compile_program
 from repro.errors import ShapeError
-from repro.kernels import (conv_output_hw, depthwise_direct, im2col,
+from repro.kernels import (conv_output_hw, depthwise_rows, im2col,
                            pack_depthwise_taps, quantize_bias)
 from repro.models import build_model
 from repro.nn import Graph, calibrate_graph
@@ -78,6 +79,24 @@ def _compiled_vs_interpreted(graph, calibration, policy, placement,
         interpreted = computer.run_cooperative_shares(
             "dw", [x], assignment.shares())
     return compiled, interpreted.data
+
+
+def _reference(x, codes, weight_zero, bias, stride, padding,
+               input_zero):
+    """im2col + an exact int64 einsum, wrapped to int32."""
+    batch, channels, height, width = x.shape
+    kernel = codes.shape[-1]
+    columns = im2col(np.ascontiguousarray(x).reshape(
+        batch * channels, 1, height, width), kernel, stride, padding,
+        pad_value=float(input_zero))
+    lhs = columns.astype(np.int64) - input_zero
+    rhs = np.tile(codes.reshape(channels, -1).astype(np.int64)
+                  - weight_zero, (batch, 1))
+    want = np.einsum("npk,nk->np", lhs, rhs, dtype=np.int64)
+    want = want.reshape(batch, channels, -1) + bias.reshape(1, -1, 1)
+    out_h, out_w = conv_output_hw(height, width, kernel, stride,
+                                  padding)
+    return want.astype(np.int32).reshape(batch, channels, out_h, out_w)
 
 
 @st.composite
@@ -152,7 +171,7 @@ class TestDirectDepthwiseIdentity:
         bias_i32 = quantize_bias(bias, in_qparams.scale,
                                  w_qparams.scale)
         # The centre output sees all nine taps at input code 255.
-        exact = int(bias_i32[0]) + 255 * int(taps[:, 0].sum())
+        exact = int(bias_i32[0]) + 255 * int(taps[0].sum())
         assert exact > INT32_MAX
         calibration = _calibration(in_qparams,
                                    QuantParams.from_range(-4.0, 4.0))
@@ -165,31 +184,63 @@ class TestDirectDepthwiseIdentity:
     def test_kernel_matches_im2col_einsum(self, rng):
         """The raw accumulators equal an im2col + int64 einsum wrapped
         to int32, on a channel slice view of the input."""
-        x = rng.integers(0, 256, (2, 7, 9, 8)).astype(np.uint8)
-        codes = rng.integers(0, 256, (7, 3, 3)).astype(np.uint8)
-        taps = pack_depthwise_taps(codes[2:5], 131)
-        bias = rng.integers(-2 ** 31, 2 ** 31, (3, 1, 1)
+        self._check_kernel(rng, 2, 3, 2, 1, 2, 5)
+
+    @pytest.mark.parametrize(
+        "batch, kernel, stride, padding, lo, hi",
+        [(2, 3, 3, 1, 0, 7),       # stride 3, whole input
+         (4, 3, 1, 1, 0, 7),       # batch 4
+         (3, 5, 2, 2, 3, 4),       # one interior channel
+         (1, 17, 1, 8, 1, 6)],     # k > 16: rows add in int32
+        ids=["s3", "batch4", "interior", "k17"])
+    def test_kernel_geometries_match_im2col_einsum(
+            self, rng, batch, kernel, stride, padding, lo, hi):
+        self._check_kernel(rng, batch, kernel, stride, padding, lo, hi)
+
+    def test_rows_past_k16_add_in_int32(self):
+        """k = 17 at full scale: the 289-tap sum ``289 * 255**2`` is
+        odd and above 2**24, so float32 row additions would round it."""
+        x = np.full((1, 1, 17, 17), 255, dtype=np.uint8)
+        taps = pack_depthwise_taps(np.full((1, 17, 17), 255, np.uint8),
+                                   0)
+        acc = depthwise_rows(x, taps, np.zeros((1, 1, 1), np.int32), 1,
+                             0, 0)
+        assert acc.reshape(-1).tolist() == [289 * 255 ** 2]
+
+    @staticmethod
+    def _check_kernel(rng, batch, kernel, stride, padding, lo, hi):
+        size = max(9, kernel)
+        x = rng.integers(0, 256, (batch, 7, size, size - 1)
+                         ).astype(np.uint8)
+        codes = rng.integers(0, 256, (7, kernel, kernel)
+                             ).astype(np.uint8)
+        bias = rng.integers(-2 ** 31, 2 ** 31, (hi - lo, 1, 1)
                             ).astype(np.int32)
-        acc = depthwise_direct(x[:, 2:5], taps, bias, 3, 2, 1, 17)
-        columns = im2col(np.ascontiguousarray(x[:, 2:5]).reshape(
-            6, 1, 9, 8), 3, 2, 1, pad_value=17.0)
-        lhs = columns.astype(np.int64) - 17
-        rhs = np.tile(codes[2:5].reshape(3, 9).astype(np.int64) - 131,
-                      (2, 1))
-        want = np.einsum("npk,nk->np", lhs, rhs, dtype=np.int64)
-        want = want.reshape(2, 3, -1) + bias.reshape(1, 3, 1)
-        out_h, out_w = conv_output_hw(9, 8, 3, 2, 1)
+        acc = depthwise_rows(x[:, lo:hi], pack_depthwise_taps(
+            codes[lo:hi], 131), bias, stride, padding, 17)
+        want = _reference(x[:, lo:hi], codes[lo:hi], 131, bias,
+                          stride, padding, 17)
         assert acc.dtype == np.int32
-        assert acc.shape == (2, 3, out_h, out_w)
-        assert acc.tobytes() == want.astype(np.int32).reshape(
-            acc.shape).tobytes()
+        assert acc.shape == want.shape
+        assert acc.tobytes() == want.tobytes()
 
     def test_rejects_mismatched_taps(self):
         x = np.zeros((1, 4, 5, 5), dtype=np.uint8)
         taps = pack_depthwise_taps(np.zeros((3, 3, 3), np.uint8), 0)
         bias = np.zeros((4, 1, 1), dtype=np.int32)
         with pytest.raises(ShapeError):
-            depthwise_direct(x, taps, bias, 3, 1, 1, 0)
+            depthwise_rows(x, taps, bias, 1, 1, 0)
+        with pytest.raises(ShapeError):
+            depthwise_rows(x[0], taps, bias, 1, 1, 0)
+        with pytest.raises(ShapeError):
+            pack_depthwise_taps(np.zeros((3, 3, 2), np.uint8), 0)
+
+    def test_rejects_kernel_past_the_row_bound(self):
+        """k = 258 keeps every row sum below 2**24; k = 259 does not."""
+        assert pack_depthwise_taps(np.zeros((1, 258, 258), np.uint8),
+                                   0).shape == (1, 258, 258)
+        with pytest.raises(ShapeError):
+            pack_depthwise_taps(np.zeros((1, 259, 259), np.uint8), 0)
 
     def test_compiled_step_builds_no_columns(self, monkeypatch):
         """An all-integer depthwise step never calls im2col."""
@@ -220,12 +271,29 @@ def test_full_mobilenet_pfq_byte_identical():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((1, 3, 224, 224)).astype(np.float32)
     calibration = calibrate_graph(graph, [x])
+    _assert_compiled_matches_interpreter(graph, x, calibration)
+
+
+@pytest.mark.parametrize("batch", [2, 4])
+def test_mobilenet_mini_batched_byte_identical(mobilenet_mini,
+                                               mobilenet_mini_calibration,
+                                               batch):
+    """mobilenet_mini's stride-1 and stride-2 depthwise steps at batch
+    2 and 4 under the processor-friendly plan."""
+    rng = np.random.default_rng(batch)
+    x = rng.standard_normal((batch, 3, 32, 32)).astype(np.float32)
+    _assert_compiled_matches_interpreter(mobilenet_mini, x,
+                                         mobilenet_mini_calibration)
+
+
+def _assert_compiled_matches_interpreter(graph, x, calibration):
     plan = MuLayer(EXYNOS_7420, PROCESSOR_FRIENDLY).plan(graph)
     functional = Executor(EXYNOS_7420).run(
         graph, plan, x=x, calibration=calibration)
     compiled = Executor(EXYNOS_7420).run(
         graph, plan, x=x, calibration=calibration,
-        program=compile_program(graph, plan, calibration))
+        program=compile_program(graph, plan, calibration,
+                                batch=x.shape[0]))
     (out,) = graph.output_layers()
     assert (compiled.outputs[out].data.tobytes()
             == functional.outputs[out].data.tobytes())
