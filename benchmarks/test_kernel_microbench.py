@@ -115,6 +115,31 @@ def test_bench_quantize_store(benchmark):
     assert out.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("way", ["quantize_store", "table"])
+def test_bench_half_store(benchmark, way):
+    """The F16 store of mobilenet conv1/pw's GPU part (32 channels at
+    112x112, the direct1x1 layout) both ways: ``quantize_store`` on
+    the f16 rows, and the compiled path's gather of their bit patterns
+    through the 65,536-entry table.  The two outputs are byte-checked
+    against each other."""
+    from repro.quant import quantize_store
+    from repro.quant.linear import half_store_table
+    out_params = QuantParams.from_range(-6.0, 6.0)
+    rows = (RNG.standard_normal((1, 32, 112 * 112)) * 4).astype(
+        np.float16)
+    table = half_store_table(out_params, True)
+
+    def through_table(rows):
+        return np.take(table, rows.view(np.uint16))
+
+    def direct(rows):
+        return quantize_store(rows, out_params, True)
+
+    out = benchmark(through_table if way == "table" else direct, rows)
+    other = direct(rows) if way == "table" else through_table(rows)
+    assert out.tobytes() == other.tobytes()
+
+
 @pytest.mark.parametrize(
     "channels, size, stride",
     [(32, 112, 1),     # mobilenet conv1/dw

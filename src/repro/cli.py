@@ -29,7 +29,8 @@ capped at 8.
 
 Exit codes: 0 clean, 1 diagnostics dirty (or a compiled run diverged
 from the interpreter), 2 usage error -- including an unknown model or
-SoC name, reported as one line on stderr.
+SoC name or a non-finite inference input, reported as one line on
+stderr.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import sys
 from typing import Dict, List, Optional
 
 from .harness.parallel import default_cli_jobs
-from .errors import UnknownNameError
+from .errors import NonFiniteInputError, UnknownNameError
 from .models import build_model, list_models, model_info
 from .runtime import (MuLayer, run_layer_to_processor,
                       run_single_processor)
@@ -1017,7 +1018,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except UnknownNameError as exc:
+    except (UnknownNameError, NonFiniteInputError) as exc:
         print(exc, file=sys.stderr)
         return 2
 

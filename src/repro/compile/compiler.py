@@ -64,9 +64,18 @@ code columns through the same table.
 Epilogues run in place on each part's fresh output.  Integer parts
 requantize through a compile-time
 :class:`~repro.quant.linear.Requantizer` (an exact float64 form of
-gemmlowp's fixed-point pipeline, ReLU as a clamp bound); F16 parts
-over QUInt8 storage quantize their f16 rows directly with
-:func:`~repro.quant.linear.quantize_store` and fold the uint8 codes.
+gemmlowp's fixed-point pipeline, ReLU as a clamp bound).  F16 parts
+over QUInt8 storage store their f16 rows with one ``np.take`` of the
+rows' uint16 bit patterns through a 65,536-entry code table
+(:func:`~repro.quant.linear.half_store_table`: ``quantize_store``
+evaluated once per f16 pattern, so the codes are its bytes by
+construction), built at compile time once per (output qparams, relu)
+and only for run closures, then fold the uint8 codes.  Every
+256-entry gather of uint8 codes (dequantization, depthwise columns,
+concat remaps) is an ``np.take`` with ``mode="wrap"``: a code never
+leaves its table, so the mode changes no value, and on this gather
+it runs about 1.4x faster than the default mode and 2.5x faster than
+fancy indexing.
 
 Channel-independent kinds (pooling, ReLU, depthwise with uniform
 pipelines, elementwise) are computed whole even when the plan splits
@@ -105,7 +114,7 @@ from ..kernels.qgemm import (EXACT_GEMM_MAX_DEPTH, fused_const_row,
 from ..nn import Graph, LayerKind
 from ..nn.layers import Conv2D, DepthwiseConv2D, FullyConnected, Input
 from ..quant import dequantize_lut, dequantize_to_half
-from ..quant.linear import Requantizer, quantize_store
+from ..quant.linear import Requantizer, half_store_table, quantize_store
 from ..quant.calibrate import CalibrationTable
 from ..runtime.distribution import channel_ranges
 from ..runtime.plan import ExecutionPlan, LayerAssignment
@@ -192,6 +201,7 @@ class _Lowering:
         self.shapes = graph.infer_shapes()
         self.qparams: Dict[str, Optional[QuantParams]] = {}
         self.weight_refs: List[Tuple[str, np.ndarray, np.ndarray]] = []
+        self.store_tables: Dict[Tuple[QuantParams, bool], np.ndarray] = {}
 
     # -- static metadata -----------------------------------------------------
 
@@ -237,6 +247,19 @@ class _Lowering:
         ranges = channel_ranges(total, shares)
         return tuple((resource, (lo, hi))
                      for resource, (lo, hi) in ranges.items())
+
+    def store_table(self, name: str, relu: bool) -> np.ndarray:
+        """The F16 store of step ``name``'s output codes
+        (:func:`~repro.quant.linear.half_store_table`), built once per
+        (output qparams, relu) in one compile."""
+        out_qparams = self.qparams[name]
+        assert out_qparams is not None
+        key = (out_qparams, relu)
+        table = self.store_tables.get(key)
+        if table is None:
+            table = half_store_table(out_qparams, relu)
+            self.store_tables[key] = table
+        return table
 
     def quantized_weights(self, weights: np.ndarray
                           ) -> Tuple[np.ndarray, QuantParams]:
@@ -443,8 +466,9 @@ class _Lowering:
                     # lut_half[zero_point] is +0.0, so gathering the
                     # input before im2col with 0.0 padding equals
                     # gathering the k*k-times larger code columns.
-                    c = im2col(lut_half[x], layer.kernel, layer.stride,
-                               layer.padding, pad_value=0.0)
+                    c = im2col(np.take(lut_half, x, mode="wrap"),
+                               layer.kernel, layer.stride, layer.padding,
+                               pad_value=0.0)
                     return c.reshape(-1, c.shape[-1])
 
                 builders["codes"] = build_codes
@@ -627,7 +651,9 @@ class _Lowering:
                 np.float32)
 
             def gemm(lhs: np.ndarray) -> np.ndarray:
-                return lhs @ rhs32 + bias32
+                out = lhs @ rhs32
+                out += bias32
+                return out
 
             def matmul(lhs: np.ndarray) -> np.ndarray:
                 return gemm(lhs).astype(np.float16)
@@ -644,11 +670,16 @@ class _Lowering:
 
             return run_sums
 
+        table = self.store_table(name, relu) if half and quantized else None
+
         def run(lhs: np.ndarray) -> np.ndarray:
             out_rows = _matmul_rows(lhs, matmul, chunk)
+            # Store the rows, then fold the uint8 codes: the store is
+            # elementwise, so it commutes with the fold.
+            if table is not None:
+                return _fold_gemm_output(
+                    np.take(table, out_rows.view(np.uint16)), shape)
             if quantized:
-                # Quantize the rows, then fold the uint8 codes: the
-                # store is elementwise, so it commutes with the fold.
                 assert out_qparams is not None
                 return _fold_gemm_output(
                     quantize_store(out_rows, out_qparams, relu), shape)
@@ -677,7 +708,8 @@ class _Lowering:
             lut_half = dequantize_lut(x_qparams).astype(np.float32)
 
             def build_half(x: np.ndarray) -> np.ndarray:
-                return lut_half[x].reshape(batch, in_c, -1)
+                return np.take(lut_half, x, mode="wrap").reshape(
+                    batch, in_c, -1)
 
             builders["nchw_half"] = build_half
             builders["nchw_half_f32"] = build_half
@@ -750,8 +782,15 @@ class _Lowering:
 
             return run_sums
 
+        table = self.store_table(name, relu) if half and quantized else None
+
         def run(lhs: np.ndarray) -> np.ndarray:
-            rows = np.matmul(w32, lhs) + bias32[:, None]
+            rows = np.matmul(w32, lhs)
+            if table is not None:
+                rows += bias32[:, None]
+                halves = rows.astype(np.float16).view(np.uint16)
+                return np.take(table, halves).reshape(shape)
+            rows = rows + bias32[:, None]
             if half:
                 rows = rows.astype(np.float16)
             if quantized:
@@ -938,18 +977,22 @@ class _Lowering:
         else:
             table = None
             columns_variant = "f16f" if half else "f32f"
+        store = (self.store_table(name, relu)
+                 if half and self.storage is DType.QUINT8 else None)
 
         def run_float(columns: np.ndarray) -> np.ndarray:
             if table is not None:
-                columns = table[columns]
+                columns = np.take(table, columns, mode="wrap")
             out = np.einsum("npk,nk->np", columns, filters)
             out = out.reshape(batch, channels, out_h, out_w)
             out = out + bias[None, :, None, None]
+            if store is not None:
+                return np.take(store,
+                               out.astype(np.float16).view(np.uint16))
             if self.storage is DType.QUINT8:
                 assert out_qparams is not None
-                return quantize_store(
-                    out.astype(np.float16 if half else np.float32,
-                               copy=False), out_qparams, relu)
+                return quantize_store(out.astype(np.float32, copy=False),
+                                      out_qparams, relu)
             if half:
                 out = out.astype(np.float16).astype(np.float32)
             if relu:
@@ -1016,27 +1059,36 @@ class _Lowering:
 
             def fn(inputs: List[np.ndarray]) -> np.ndarray:
                 (x,) = inputs
-                values = layer.forward_f32([centered[x]])
+                values = layer.forward_f32([np.take(centered, x,
+                                                    mode="wrap")])
                 return np.clip(np.round(values + zero_point),
                                0, 255).astype(np.uint8)
             return fn
         if kind is LayerKind.CONCAT:
             assert out_qparams is not None
-            axis = layer.axis
+            out_shape = self.out_shape(name)
+            axis = layer.axis % len(out_shape)
             # quantize(dequantize(code)) is an elementwise function of
             # the uint8 code, so each input's rescaling into the output
             # range is a precomputed 256-entry remap -- byte-identical
-            # to the functional path's dequantize/quantize round trip.
+            # to the functional path's dequantize/quantize round trip --
+            # gathered straight into its slice of one output.
             remaps = []
-            for qp in in_qps:
+            slices = []
+            lo = 0
+            for producer, qp in zip(producers, in_qps):
                 assert qp is not None
                 remaps.append(out_qparams.quantize(
                     qp.dequantize(codes256)))
+                hi = lo + self.out_shape(producer)[axis]
+                slices.append((slice(None),) * axis + (slice(lo, hi),))
+                lo = hi
 
             def fn(inputs: List[np.ndarray]) -> np.ndarray:
-                parts = [remap[a]
-                         for a, remap in zip(inputs, remaps)]
-                return np.concatenate(parts, axis=axis)
+                out = np.empty(out_shape, dtype=np.uint8)
+                for a, remap, index in zip(inputs, remaps, slices):
+                    np.take(remap, a, out=out[index], mode="wrap")
+                return out
             return fn
         # ADD / SOFTMAX / LRN: dequantize (one table gather per input),
         # float reference, requantize in place.
@@ -1047,7 +1099,7 @@ class _Lowering:
             tables.append(qp.dequantize(codes256))
 
         def fn(inputs: List[np.ndarray]) -> np.ndarray:
-            values = [table[a]
+            values = [np.take(table, a, mode="wrap")
                       for a, table in zip(inputs, tables)]
             return quantize_store(layer.forward_f32(values),
                                   out_qparams)

@@ -51,7 +51,7 @@ import numpy as np
 from ..analysis.memory import ArenaLayout
 from ..errors import PlanError, ShapeError
 from ..quant.calibrate import CalibrationTable
-from ..tensor import DType, QuantParams, Tensor
+from ..tensor import DType, QuantParams, Tensor, require_finite
 
 if TYPE_CHECKING:   # pragma: no cover - typing only (avoids a cycle)
     from ..nn import Graph
@@ -238,6 +238,7 @@ class CompiledProgram:
                     f"input shape {tuple(x.shape)} does not match the "
                     f"compiled input {spec.layer!r} of shape "
                     f"{spec.shape}")
+        require_finite(x)
         return x
 
     def _tensor(self, name: str, data: np.ndarray) -> Tensor:
@@ -258,6 +259,9 @@ class CompiledProgram:
 
         Returns:
             Layer name -> output tensor.
+
+        Raises:
+            NonFiniteInputError: ``x`` holds NaN or +-inf.
         """
         if keep not in ("outputs", "all"):
             raise ValueError(f"keep must be 'outputs' or 'all', "

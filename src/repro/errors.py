@@ -42,6 +42,14 @@ class PlanError(ReproError):
     """An execution plan is inconsistent with the graph it targets."""
 
 
+class NonFiniteInputError(ReproError, ValueError):
+    """An inference input holds NaN or +-inf.
+
+    Rejected at the boundary: a NaN has no uint8 code (its cast is
+    undefined) and an infinity would saturate silently.
+    """
+
+
 class SimulationError(ReproError):
     """The SoC simulator was driven into an invalid state."""
 

@@ -318,6 +318,24 @@ def quantize_store(values: np.ndarray, output: QuantParams,
     return q.astype(np.uint8)
 
 
+def half_store_table(output: QuantParams, relu: bool = False
+                     ) -> np.ndarray:
+    """:func:`quantize_store` of all 65,536 float16 bit patterns.
+
+    Entry ``i`` is the code of the f16 value whose bits are ``i``, so
+    ``np.take(table, rows.view(np.uint16))`` stores f16 rows
+    byte-identically to ``quantize_store(rows, output, relu)`` -- it
+    *is* that function, evaluated once per pattern -- for every value
+    but NaN (whose uint8 cast is undefined; its entries are whatever
+    this host's cast gave).  ±65504 and ±inf saturate like any other
+    out-of-range value.
+    """
+    halves = np.arange(1 << 16, dtype=np.uint32).astype(
+        np.uint16).view(np.float16)
+    with np.errstate(invalid="ignore"):
+        return quantize_store(halves, output, relu)
+
+
 def requantize(acc: np.ndarray, input_scale: float, weight_scale: float,
                output: QuantParams) -> np.ndarray:
     """Convert i32 accumulators to uint8 codes under ``output``.

@@ -68,7 +68,7 @@ from ..nn.layers import Input
 from ..quant.calibrate import CalibrationTable
 from ..soc import (CommandQueue, CPU, EnergyModel, GPU, NPU, SoCSpec,
                    Timeline, kernel_cost, kernel_traffic_bytes)
-from ..tensor import Tensor
+from ..tensor import Tensor, require_finite
 from .compute import LayerComputer
 from .distribution import split_layer_work_shares
 from .metrics import InferenceResult, LayerTrace
@@ -191,10 +191,16 @@ class Executor:
         Returns:
             The inference result with latency, energy, traces, and
             (for functional runs) all layer outputs.
+
+        Raises:
+            NonFiniteInputError: ``x`` holds NaN or +-inf.
         """
         plan.validate(graph)
         batch = self._resolve_batch(plan, x, batch)
         compiled = program is not None and x is not None
+        if x is not None and not compiled:
+            # A compiled run's CompiledProgram.run checks its input.
+            require_finite(np.asarray(x))
         report = (self._verify_static(graph, plan, calibration)
                   if self.verify else None)
         if compiled:

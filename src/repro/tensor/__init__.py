@@ -2,7 +2,7 @@
 
 from .dtype import DType, EXECUTION_DTYPES, parse_dtype
 from .qparams import QMAX, QMIN, QuantParams
-from .tensor import Tensor, concat_channels
+from .tensor import Tensor, concat_channels, require_finite
 
 __all__ = [
     "DType",
@@ -13,4 +13,5 @@ __all__ = [
     "QuantParams",
     "Tensor",
     "concat_channels",
+    "require_finite",
 ]

@@ -13,7 +13,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..errors import DTypeError, QuantizationError, ShapeError
+from ..errors import (DTypeError, NonFiniteInputError, QuantizationError,
+                      ShapeError)
 from .dtype import DType
 from .qparams import QuantParams
 
@@ -147,3 +148,14 @@ def concat_channels(parts: "list[Tensor]", axis: int = 1) -> Tensor:
                 "quantization parameters")
     data = np.concatenate([part.data for part in parts], axis=axis)
     return Tensor(data, dtype, qparams)
+
+
+def require_finite(x: np.ndarray) -> None:
+    """Raise :class:`~repro.errors.NonFiniteInputError` unless every
+    element of the inference input ``x`` is finite."""
+    if x.dtype.kind in "fc" and not np.isfinite(x).all():
+        nan = int(np.isnan(x).sum())
+        raise NonFiniteInputError(
+            f"input holds {nan} NaN and {int(np.isinf(x).sum())} "
+            f"infinite value(s) of {x.size}; inference inputs must be "
+            f"finite")

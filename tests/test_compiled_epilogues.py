@@ -7,9 +7,11 @@ uncached interpreter's arithmetic:
 * integer parts requantize through :class:`Requantizer`, an exact
   float64 form of ``requantize_prepared`` (checked against the
   Python-int pipeline of ``tests/test_quant_linear.py``);
-* F16 parts over QUInt8 storage store their rows with
-  :func:`quantize_store` instead of cast, ReLU and
-  ``QuantParams.quantize`` (checked on every f16 bit pattern);
+* F16 parts over QUInt8 storage store their rows through a table of
+  :func:`quantize_store` over every f16 bit pattern instead of cast,
+  ReLU and ``QuantParams.quantize`` (``quantize_store`` is checked on
+  every f16 bit pattern here, the table in
+  ``tests/test_half_store_table.py``);
 * F16 GEMM inputs gather the dequantization table over the input
   before im2col instead of over the column matrix.
 

@@ -13,10 +13,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.nn
 from repro.analysis import verify_program
+from repro.cli import main
 from repro.compile import compile_program
-from repro.runtime import MuLayer, UNIFORM_F32
+from repro.errors import NonFiniteInputError
+from repro.nn import calibrate_graph
+from repro.runtime import MuLayer, PROCESSOR_FRIENDLY, UNIFORM_F32
 from repro.runtime.baselines import single_processor_plan
+from repro.runtime.executor import Executor
 from repro.runtime.plan_cache import PlanCache, PlanKey
 from repro.soc import EXYNOS_7420
 
@@ -162,3 +167,70 @@ class TestVerifyProgramPV012:
         report = verify_program(graph, plan, program)
         assert not report.ok
         assert any(d.rule == "PV012" for d in report.diagnostics)
+
+
+NON_FINITE = pytest.mark.parametrize(
+    "value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+
+
+def _poisoned(x, value):
+    bad = x.copy()
+    bad[0, 1, 2, 3] = value
+    return bad
+
+
+class TestNonFiniteInputs:
+    """NaN has no uint8 code and +-inf would saturate silently, so
+    both entry points reject any non-finite input."""
+
+    @NON_FINITE
+    def test_program_run_rejects(self, squeezenet_mini,
+                                 squeezenet_calibration, single_input,
+                                 value):
+        program = MuLayer(EXYNOS_7420, compiled=True).program(
+            squeezenet_mini, calibration=squeezenet_calibration, batch=1)
+        bad = _poisoned(single_input, value)
+        for keep in ("outputs", "all"):
+            with pytest.raises(NonFiniteInputError, match="finite"):
+                program.run(bad, keep=keep)
+
+    @NON_FINITE
+    def test_executor_run_rejects(self, squeezenet_mini,
+                                  squeezenet_calibration, single_input,
+                                  value):
+        plan = single_processor_plan(squeezenet_mini, "cpu",
+                                     PROCESSOR_FRIENDLY)
+        program = compile_program(squeezenet_mini, plan,
+                                  squeezenet_calibration)
+        bad = _poisoned(single_input, value)
+        executor = Executor(EXYNOS_7420)
+        for compiled in (None, program):
+            with pytest.raises(NonFiniteInputError):
+                executor.run(squeezenet_mini, plan, x=bad,
+                             calibration=squeezenet_calibration,
+                             program=compiled)
+
+    def test_finite_input_runs(self, squeezenet_mini,
+                               squeezenet_calibration, single_input):
+        extreme = single_input.copy()
+        extreme[0, 0, 0, 0] = np.finfo(np.float32).max
+        program = MuLayer(EXYNOS_7420, compiled=True).program(
+            squeezenet_mini, calibration=squeezenet_calibration, batch=1)
+        assert program.run(extreme)
+
+    @NON_FINITE
+    def test_cli_exits_2(self, monkeypatch, capsys, value):
+        """``run --compiled`` calibrates on its input and then runs it;
+        the input is poisoned between the two."""
+        real = calibrate_graph
+
+        def poisoning(graph, batches):
+            calibration = real(graph, batches)
+            batches[0][0, 0, 0, 0] = value
+            return calibration
+
+        monkeypatch.setattr(repro.nn, "calibrate_graph", poisoning)
+        assert main(["run", "--model", "squeezenet_mini",
+                     "--compiled"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "finite" in err[0]
