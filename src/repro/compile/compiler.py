@@ -64,18 +64,24 @@ code columns through the same table.
 Epilogues run in place on each part's fresh output.  Integer parts
 requantize through a compile-time
 :class:`~repro.quant.linear.Requantizer` (an exact float64 form of
-gemmlowp's fixed-point pipeline, ReLU as a clamp bound).  F16 parts
-over QUInt8 storage store their f16 rows with one ``np.take`` of the
-rows' uint16 bit patterns through a 65,536-entry code table
+gemmlowp's fixed-point pipeline, ReLU as a clamp bound).  Every float
+part ends in one epilogue, :meth:`_Lowering.float_store`: bias-added
+float sums in, the step's storage out.  Over QUInt8 storage, where
+the policy admits only F16 compute, it gathers the sums' f16 bit
+patterns through a 65,536-entry code table with one ``np.take``
 (:func:`~repro.quant.linear.half_store_table`: ``quantize_store``
 evaluated once per f16 pattern, so the codes are its bytes by
-construction), built at compile time once per (output qparams, relu)
-and only for run closures, then fold the uint8 codes.  Every
-256-entry gather of uint8 codes (dequantization, depthwise columns,
-concat remaps) is an ``np.take`` with ``mode="wrap"``: a code never
-leaves its table, so the mode changes no value, and on this gather
-it runs about 1.4x faster than the default mode and 2.5x faster than
-fancy indexing.
+construction), built at compile time once per (output qparams,
+relu); under float storage it rounds F16 sums through f16, applies
+ReLU and casts to the storage dtype.  The store is elementwise, so a
+GEMM part stores each per-sample chunk of rows before the output
+fold and folds the smaller stored values.  Every part builder also
+returns the sums its store reads, which is what
+:meth:`_Lowering._choose` byte-checks.  Every 256-entry gather of
+uint8 codes (dequantization, depthwise columns, concat remaps) is an
+``np.take`` with ``mode="wrap"``: a code never leaves its table, so
+the mode changes no value, and on this gather it runs about 1.4x
+faster than the default mode and 2.5x faster than fancy indexing.
 
 Channel-independent kinds (pooling, ReLU, depthwise with uniform
 pipelines, elementwise) are computed whole even when the plan splits
@@ -106,9 +112,9 @@ import numpy as np
 from ..analysis.memory import plan_arena
 from ..errors import PlanError, QuantizationError
 from ..kernels import (conv_output_hw, conv_shifted, depthwise_rows,
-                       exact_in_f32, flatten_filters, im2col, max_pool,
-                       pack_depthwise_taps, pack_shifted_taps,
-                       qgemm_fused, shifted_input)
+                       exact_in_f32, flatten_filters, fold_gemm_output,
+                       im2col, max_pool, pack_depthwise_taps,
+                       pack_shifted_taps, qgemm_fused, shifted_input)
 from ..kernels.qgemm import (EXACT_GEMM_MAX_DEPTH, fused_const_row,
                              quantize_bias)
 from ..nn import Graph, LayerKind
@@ -132,10 +138,14 @@ _GemmLayer = Union[Conv2D, FullyConnected]
 #: lhs) from the step's single input array.
 PrepareFn = Callable[[np.ndarray], np.ndarray]
 
-#: A step lowering offered to :meth:`_Lowering._choose`: (variant
-#: name, step fn, sums fn).  The sums fn returns the step's float
-#: GEMM sums before the output rounding and store.
-_StepCandidate = Tuple[str, StepFn, StepFn]
+#: Runs one processor's part of a step on its prepared operand.
+PartFn = Callable[[np.ndarray], np.ndarray]
+
+#: One part of a GEMM step: (operand variant, run, sums).  ``run``
+#: returns the part's stored output; ``sums`` the bias-added float
+#: GEMM sums that ``run`` hands to :meth:`_Lowering.float_store`, or
+#: ``None`` on an integer part.
+_GemmPart = Tuple[str, PartFn, Optional[PartFn]]
 
 #: Kinds whose quantization parameters pass through from their input.
 _QPARAMS_PASSTHROUGH = frozenset({
@@ -172,16 +182,6 @@ def _matmul_rows(lhs: np.ndarray, matmul: Callable[[np.ndarray],
     return np.concatenate(
         [matmul(lhs[i:i + chunk]) for i in range(0, lhs.shape[0], chunk)],
         axis=0)
-
-
-def _fold_gemm_output(out_rows: np.ndarray,
-                      shape: Tuple[int, ...]) -> np.ndarray:
-    """Row-major GEMM output back to NCHW (LayerComputer's fold)."""
-    if len(shape) == 4:
-        batch, out_c, out_h, out_w = shape
-        out = out_rows.reshape(batch, out_h, out_w, out_c)
-        return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
-    return out_rows.reshape(shape)
 
 
 class _Lowering:
@@ -251,7 +251,8 @@ class _Lowering:
     def store_table(self, name: str, relu: bool) -> np.ndarray:
         """The F16 store of step ``name``'s output codes
         (:func:`~repro.quant.linear.half_store_table`), built once per
-        (output qparams, relu) in one compile."""
+        (output qparams, relu) in one compile; read only by
+        :meth:`float_store`."""
         out_qparams = self.qparams[name]
         assert out_qparams is not None
         key = (out_qparams, relu)
@@ -260,6 +261,37 @@ class _Lowering:
             table = half_store_table(out_qparams, relu)
             self.store_tables[key] = table
         return table
+
+    def float_store(self, name: str, relu: bool,
+                    compute: DType) -> PartFn:
+        """The epilogue of every float part of step ``name``: bias-added
+        float sums in, the step's storage out.
+
+        Over QUInt8 storage (F16 compute, the only float pipeline a
+        policy admits there) the sums' f16 bit patterns gather their
+        codes from :meth:`store_table`.  Under float storage F16 sums
+        round through f16, then ReLU, then the cast to the storage
+        dtype -- the interpreter's order.  Elementwise either way.
+        """
+        if self.storage is DType.QUINT8:
+            table = self.store_table(name, relu)
+
+            def store_codes(sums: np.ndarray) -> np.ndarray:
+                return np.take(table,
+                               sums.astype(np.float16).view(np.uint16))
+
+            return store_codes
+        half = compute is DType.F16
+        storage_np = self.storage.numpy_dtype
+
+        def store(sums: np.ndarray) -> np.ndarray:
+            if half:
+                sums = sums.astype(np.float16).astype(np.float32)
+            if relu:
+                sums = np.maximum(sums, 0.0)
+            return sums.astype(storage_np, copy=False)
+
+        return store
 
     def quantized_weights(self, weights: np.ndarray
                           ) -> Tuple[np.ndarray, QuantParams]:
@@ -314,38 +346,69 @@ class _Lowering:
 
         return make_input
 
-    def _choose(self, name: str, candidates: List[_StepCandidate]
+    def _choose(self, name: str, candidates: List[Tuple[str,
+                                                        List[_GemmPart]]],
+                builders: Dict[str, PrepareFn], axis: int
                 ) -> Tuple[StepFn, str]:
-        """Pick among the step's legal lowerings.
+        """Pick among the step's legal lowerings, each a list of parts.
 
         ``candidates[0]`` is the reference.  Every alternative runs
         once on the step's seeded synthetic input and is dropped unless
-        its float GEMM sums reproduce the reference's bytes: an
-        alternative changes a float part's BLAS call shape, and whether
-        that changes the summation order depends on the shape and the
-        host BLAS.  The sums are compared *before* the output rounding:
-        rounding to f16 or to uint8 codes hides a changed sum on many
-        inputs, so an output check can pass on the synthetic input and
-        still fail on real ones.  Without a tuner the alternative wins
-        wherever it survives; with one, the survivors are timed.
+        its float parts' ``sums`` -- the very closures its ``run``
+        stores -- reproduce the reference's bytes: an alternative
+        changes a float part's BLAS call shape, and whether that
+        changes the summation order depends on the shape and the host
+        BLAS.  The sums are compared *before* the store: rounding to
+        f16 or to uint8 codes hides a changed sum on many inputs, so an
+        output check can pass on the synthetic input and still fail on
+        real ones.  Without a tuner the alternative wins wherever it
+        survives; with one, the survivors are timed.
         """
-        ref_name, ref_fn, ref_sums = candidates[0]
         signature = self._signature(name)
         make_input = self._tune_input(name, signature)
         inputs = [make_input()]
-        reference = np.asarray(ref_sums(inputs))
-        survivors = [(ref_name, ref_fn)]
-        for cand, fn, sums in candidates[1:]:
-            out = np.asarray(sums(inputs))
-            if (out.dtype == reference.dtype
-                    and out.shape == reference.shape
-                    and out.tobytes() == reference.tobytes()):
-                survivors.append((cand, fn))
+        reference: Optional[np.ndarray] = None
+        survivors: List[Tuple[str, StepFn]] = []
+        for label, parts in candidates:
+            sums = np.asarray(self._parts_fn(
+                [(variant, part_sums) for variant, _, part_sums in parts
+                 if part_sums is not None], builders, axis)(inputs))
+            if reference is None:
+                reference = sums
+            elif (sums.dtype != reference.dtype
+                  or sums.shape != reference.shape
+                  or sums.tobytes() != reference.tobytes()):
+                continue
+            survivors.append((label, self._parts_fn(
+                [(variant, run) for variant, run, _ in parts], builders,
+                axis)))
         if self.tuner is None or len(survivors) == 1:
             winner, fn = survivors[-1]
             return fn, winner
         winner = self.tuner.select(signature, survivors, make_input)
         return dict(survivors)[winner], winner
+
+    def _parts_fn(self, parts: List[Tuple[str, PartFn]],
+                  builders: Dict[str, PrepareFn], axis: int) -> StepFn:
+        """The step fn over one set of parts: each operand variant is
+        built once from the step input, each part runs on its variant,
+        outputs join in channel order."""
+
+        def fn(inputs: List[np.ndarray]) -> np.ndarray:
+            (x,) = inputs
+            operands: Dict[str, np.ndarray] = {}
+            outs = []
+            for variant, part in parts:
+                operand = operands.get(variant)
+                if operand is None:
+                    operand = builders[variant](x)
+                    operands[variant] = operand
+                outs.append(part(operand))
+            if len(outs) == 1:
+                return outs[0]
+            return np.concatenate(outs, axis=axis)
+
+        return fn
 
     # -- GEMM layers (conv / FC) ----------------------------------------------
 
@@ -371,65 +434,30 @@ class _Lowering:
         chunk = per_sample_rows if self.batch > 1 else None
 
         placements = self.placement_parts(name)
-        parts = []
-        for resource, rng in placements:
-            parts.append(self._gemm_part(name, layer, resource, rng,
-                                         x_qparams, chunk))
-        lhs_builders = self._gemm_lhs_builders(layer, x_qparams)
+        parts = [self._gemm_part(name, layer, resource, rng, x_qparams,
+                                 chunk)
+                 for resource, rng in placements]
+        builders = self._gemm_lhs_builders(layer, x_qparams)
         axis = 1 if len(self.out_shape(name)) >= 2 else 0
-
-        reference = self._gemm_fn(parts, lhs_builders, axis)
         # An integer part's lowering is fixed by a static rule (shifted
         # taps where float32 is exact, else im2col), so only a 1x1 conv
         # with a float part has an alternative: direct1x1, which keeps
         # the reference's integer parts.
-        floats = [(resource, rng) for resource, rng in placements
-                  if not self._integer(resource)]
-        if (not floats or not isinstance(layer, Conv2D) or axis != 1
+        if (all(sums is None for _, _, sums in parts)
+                or not isinstance(layer, Conv2D) or axis != 1
                 or (layer.kernel, layer.stride, layer.padding)
                 != (1, 1, 0)):
-            return reference, "reference"
-        builders = dict(lhs_builders)
+            return (self._parts_fn([(variant, run)
+                                    for variant, run, _ in parts],
+                                   builders, axis), "reference")
         builders.update(self._direct1x1_builders(
             x_qparams, int(layer.weights.shape[1])))
-        direct_parts = [
-            part if self._integer(resource)
-            else self._direct1x1_part(name, layer, resource, rng)
-            for (resource, rng), part in zip(placements, parts)]
-        reference_sums = self._gemm_fn(
-            [self._gemm_part(name, layer, resource, rng, x_qparams, chunk,
-                             sums=True) for resource, rng in floats],
-            builders, axis)
-        direct_sums = self._gemm_fn(
-            [self._direct1x1_part(name, layer, resource, rng, sums=True)
-             for resource, rng in floats], builders, axis)
-        return self._choose(name, [
-            ("reference", reference, reference_sums),
-            ("direct1x1", self._gemm_fn(direct_parts, builders, axis),
-             direct_sums)])
-
-    def _gemm_fn(self, parts: List[Tuple[str, Callable[[np.ndarray],
-                                                       np.ndarray]]],
-                 lhs_builders: Dict[str, PrepareFn], axis: int) -> StepFn:
-        """The step fn over one set of GEMM parts: each lhs variant is
-        built once, each part runs on it, outputs join in channel
-        order."""
-
-        def fn(inputs: List[np.ndarray]) -> np.ndarray:
-            (x,) = inputs
-            lhs_cache: Dict[str, np.ndarray] = {}
-            outs = []
-            for variant, part in parts:
-                lhs = lhs_cache.get(variant)
-                if lhs is None:
-                    lhs = lhs_builders[variant](x)
-                    lhs_cache[variant] = lhs
-                outs.append(part(lhs))
-            if len(outs) == 1:
-                return outs[0]
-            return np.concatenate(outs, axis=axis)
-
-        return fn
+        direct = [part if part[2] is None
+                  else self._direct1x1_part(name, layer, resource, rng)
+                  for (resource, rng), part in zip(placements, parts)]
+        return self._choose(name, [("reference", parts),
+                                   ("direct1x1", direct)],
+                            builders, axis)
 
     def _gemm_lhs_builders(self, layer: _GemmLayer,
                            x_qparams: Optional[QuantParams]
@@ -437,12 +465,11 @@ class _Lowering:
         """Per-variant activation-side lowerings of one GEMM layer.
 
         Under QUInt8 storage the integer pipeline lowers the uint8
-        codes; the float pipelines map the *input* through the
-        256-entry dequantization table and lower that -- the
-        interpreter gathers its code columns instead, which is the
-        same bytes (the table is elementwise and sends the zero-point
-        padding to +0.0, the float padding) for a k*k-times smaller
-        gather.
+        codes; the F16 pipeline maps the *input* through the 256-entry
+        dequantization table and lowers that -- the interpreter gathers
+        its code columns instead, which is the same bytes (the table is
+        elementwise and sends the zero-point padding to +0.0, the float
+        padding) for a k*k-times smaller gather.
         """
         is_conv = isinstance(layer, Conv2D)
         builders: Dict[str, PrepareFn] = {}
@@ -490,7 +517,6 @@ class _Lowering:
 
                 builders["codes"] = build_codes
                 builders["half"] = build_half
-            builders["half_f32"] = builders["half"]
         else:
             if is_conv:
                 def build_f16(x: np.ndarray) -> np.ndarray:
@@ -526,29 +552,6 @@ class _Lowering:
         return (self.storage is DType.QUINT8
                 and self.policy.compute_dtype(resource) is DType.QUINT8)
 
-    def _gemm_part(self, name: str, layer: _GemmLayer, resource: str,
-                   rng: Optional[Tuple[int, int]],
-                   x_qparams: Optional[QuantParams],
-                   chunk: Optional[int], sums: bool = False
-                   ) -> Tuple[str, Callable[[np.ndarray], np.ndarray]]:
-        """(lhs variant, bound kernel) of one processor's portion;
-        ``sums`` binds a float part's GEMM sums instead (see
-        :meth:`_choose`)."""
-        compute = self.policy.compute_dtype(resource)
-        if self._integer(resource):
-            assert x_qparams is not None
-            return self._integer_gemm_part(name, layer, rng, x_qparams)
-        if self.storage is DType.QUINT8:
-            variant = "half" if compute is DType.F16 else "half_f32"
-            return variant, self._float_gemm_part(name, layer, rng,
-                                                  compute, chunk,
-                                                  quantized=True,
-                                                  sums=sums)
-        variant = "f16" if compute is DType.F16 else "f32"
-        return variant, self._float_gemm_part(name, layer, rng, compute,
-                                              chunk, quantized=False,
-                                              sums=sums)
-
     def _part_shape(self, layer: _GemmLayer,
                     rng: Optional[Tuple[int, int]]
                     ) -> Tuple[int, ...]:
@@ -560,14 +563,72 @@ class _Lowering:
         full = self.out_shape(layer.name)
         return (full[0], hi - lo) + full[2:]
 
+    @staticmethod
+    def _float_weights(layer: _GemmLayer, rng: Optional[Tuple[int, int]],
+                       compute: DType) -> Tuple[np.ndarray, np.ndarray]:
+        """A float part's filters and bias: its channel slice, on the
+        F16 pipeline rounded through f16 and widened back, so the GEMM
+        runs on float32 operands holding exact f16 values and the cast
+        is paid once, here."""
+        weights, bias = layer.weights, layer.bias
+        if rng is not None:
+            lo, hi = rng
+            weights, bias = weights[lo:hi], bias[lo:hi]
+        if compute is DType.F16:
+            weights = weights.astype(np.float16).astype(np.float32)
+            bias = bias.astype(np.float16).astype(np.float32)
+        return weights, bias
+
+    def _gemm_part(self, name: str, layer: _GemmLayer, resource: str,
+                   rng: Optional[Tuple[int, int]],
+                   x_qparams: Optional[QuantParams],
+                   chunk: Optional[int]) -> _GemmPart:
+        """One processor's portion of a GEMM step: the integer kernel,
+        or im2col + one GEMM per sample chunk ending in
+        :meth:`float_store`.  F16 arithmetic is identical to
+        ``gemm_f16(lhs16, rhs16, bias)``, byte for byte: the lhs and
+        the weights arrive as the exact f32 images of their f16
+        roundings (:meth:`_gemm_lhs_builders`, :meth:`_float_weights`)
+        and the store rounds the sums."""
+        if self._integer(resource):
+            assert x_qparams is not None
+            return self._integer_gemm_part(name, layer, rng, x_qparams)
+        compute = self.policy.compute_dtype(resource)
+        weights, bias = self._float_weights(layer, rng, compute)
+        if isinstance(layer, Conv2D):
+            rhs = flatten_filters(weights).T
+        else:
+            rhs = weights.T
+        store = self.float_store(name, layer.relu, compute)
+        shape = self._part_shape(layer, rng)
+
+        def gemm(lhs: np.ndarray) -> np.ndarray:
+            out = lhs @ rhs
+            out += bias
+            return out
+
+        def gemm_store(lhs: np.ndarray) -> np.ndarray:
+            return store(gemm(lhs))
+
+        def run(lhs: np.ndarray) -> np.ndarray:
+            return fold_gemm_output(_matmul_rows(lhs, gemm_store, chunk),
+                                    shape)
+
+        def sums(lhs: np.ndarray) -> np.ndarray:
+            return fold_gemm_output(_matmul_rows(lhs, gemm, chunk), shape)
+
+        if self.storage is DType.QUINT8:
+            return "half", run, sums
+        if compute is DType.F16:
+            return "f16", run, sums
+        return "f32", run, sums
+
     def _integer_gemm_part(self, name: str, layer: _GemmLayer,
                            rng: Optional[Tuple[int, int]],
-                           x_qparams: QuantParams
-                           ) -> Tuple[str,
-                                      Callable[[np.ndarray], np.ndarray]]:
-        """(lhs variant, kernel) of one integer part: shifted-tap GEMMs
-        for a stride-1 conv whose float32 sums are provably exact,
-        else im2col + one qgemm_fused call."""
+                           x_qparams: QuantParams) -> _GemmPart:
+        """One integer part: shifted-tap GEMMs for a stride-1 conv whose
+        float32 sums are provably exact, else im2col + one qgemm_fused
+        call."""
         weight_codes, w_qparams = self.quantized_weights(layer.weights)
         bias = layer.bias
         if rng is not None:
@@ -594,7 +655,7 @@ class _Lowering:
                     buf, taps, bias_col, batch, in_h, in_w, kernel,
                     padding))
 
-            return "shifted", run_shifted
+            return "shifted", run_shifted, None
 
         if isinstance(layer, Conv2D):
             rhs = flatten_filters(weight_codes).T
@@ -613,86 +674,9 @@ class _Lowering:
         def run(lhs: np.ndarray) -> np.ndarray:
             out_rows = qgemm_fused(lhs, packed, rhs_zero, const_row,
                                    requantizer)
-            return _fold_gemm_output(out_rows, shape)
+            return fold_gemm_output(out_rows, shape)
 
-        return "codes", run
-
-    def _float_gemm_part(self, name: str, layer: _GemmLayer,
-                         rng: Optional[Tuple[int, int]],
-                         compute: DType, chunk: Optional[int],
-                         quantized: bool, sums: bool = False
-                         ) -> Callable[[np.ndarray], np.ndarray]:
-        """F16/F32 pipeline with folded epilogue (bias, ReLU, store),
-        or with ``sums`` its bias-added GEMM sums folded to NCHW."""
-        weights, bias = layer.weights, layer.bias
-        if rng is not None:
-            lo, hi = rng
-            weights = weights[lo:hi]
-            bias = bias[lo:hi]
-        if isinstance(layer, Conv2D):
-            rhs = flatten_filters(weights).T
-        else:
-            rhs = weights.T
-        half = compute is DType.F16
-        relu = layer.relu
-        shape = self._part_shape(layer, rng)
-        out_qparams = self.qparams[name]
-        storage_np = self.storage.numpy_dtype
-
-        if half:
-            # gemm_f16 unrolled over compile-time-cast operands: the
-            # lhs arrives as the exact f32 image of its f16 rounding
-            # (see _gemm_lhs_builders), the weight/bias casts are
-            # hoisted here, and only the half-precision rounding of
-            # the output remains per call.  Arithmetic is identical to
-            # gemm_f16(lhs16, rhs16, bias), byte for byte.
-            rhs32 = rhs.astype(np.float16).astype(np.float32)
-            bias32 = np.asarray(bias, dtype=np.float16).astype(
-                np.float32)
-
-            def gemm(lhs: np.ndarray) -> np.ndarray:
-                out = lhs @ rhs32
-                out += bias32
-                return out
-
-            def matmul(lhs: np.ndarray) -> np.ndarray:
-                return gemm(lhs).astype(np.float16)
-        else:
-            def gemm(lhs: np.ndarray) -> np.ndarray:
-                return lhs @ rhs + bias
-
-            matmul = gemm
-
-        if sums:
-            def run_sums(lhs: np.ndarray) -> np.ndarray:
-                return _fold_gemm_output(_matmul_rows(lhs, gemm, chunk),
-                                         shape)
-
-            return run_sums
-
-        table = self.store_table(name, relu) if half and quantized else None
-
-        def run(lhs: np.ndarray) -> np.ndarray:
-            out_rows = _matmul_rows(lhs, matmul, chunk)
-            # Store the rows, then fold the uint8 codes: the store is
-            # elementwise, so it commutes with the fold.
-            if table is not None:
-                return _fold_gemm_output(
-                    np.take(table, out_rows.view(np.uint16)), shape)
-            if quantized:
-                assert out_qparams is not None
-                return _fold_gemm_output(
-                    quantize_store(out_rows, out_qparams, relu), shape)
-            if half:
-                out_rows = out_rows.astype(np.float32)
-            if relu:
-                out_rows = np.maximum(out_rows, 0.0)
-            folded = _fold_gemm_output(out_rows, shape)
-            if folded.dtype == storage_np:
-                return folded
-            return folded.astype(storage_np)
-
-        return run
+        return "codes", run, None
 
     # -- the direct 1x1 lowering ---------------------------------------------
 
@@ -712,7 +696,6 @@ class _Lowering:
                     batch, in_c, -1)
 
             builders["nchw_half"] = build_half
-            builders["nchw_half_f32"] = build_half
         else:
             def build_f16(x: np.ndarray) -> np.ndarray:
                 return (x.astype(np.float32).astype(np.float16)
@@ -726,12 +709,10 @@ class _Lowering:
         return builders
 
     def _direct1x1_part(self, name: str, layer: _GemmLayer,
-                        resource: str, rng: Optional[Tuple[int, int]],
-                        sums: bool = False
-                        ) -> Tuple[str,
-                                   Callable[[np.ndarray], np.ndarray]]:
-        """(lhs variant, bound kernel) of one float part of the direct
-        NCHW GEMM lowering of a 1x1 conv.
+                        resource: str, rng: Optional[Tuple[int, int]]
+                        ) -> _GemmPart:
+        """One float part of the direct NCHW GEMM lowering of a 1x1
+        conv.
 
         A 1x1/stride-1/no-padding conv's im2col is a pure transpose,
         and its NHWC output fold is the inverse transpose -- so each
@@ -741,72 +722,25 @@ class _Lowering:
         is this direct GEMM.
         """
         compute = self.policy.compute_dtype(resource)
-        if self.storage is DType.QUINT8:
-            variant = ("nchw_half" if compute is DType.F16
-                       else "nchw_half_f32")
-            return variant, self._direct1x1_float_part(
-                name, layer, rng, compute, quantized=True, sums=sums)
-        variant = "nchw_f16" if compute is DType.F16 else "nchw_f32"
-        return variant, self._direct1x1_float_part(
-            name, layer, rng, compute, quantized=False, sums=sums)
-
-    def _direct1x1_float_part(
-            self, name: str, layer: _GemmLayer,
-            rng: Optional[Tuple[int, int]], compute: DType,
-            quantized: bool, sums: bool = False
-    ) -> Callable[[np.ndarray], np.ndarray]:
-        weights, bias = layer.weights, layer.bias
-        if rng is not None:
-            lo, hi = rng
-            weights = weights[lo:hi]
-            bias = bias[lo:hi]
-        out_c, in_c = weights.shape[0], weights.shape[1]
-        w2d = weights.reshape(out_c, in_c)
-        half = compute is DType.F16
-        relu = layer.relu
+        weights, bias = self._float_weights(layer, rng, compute)
+        w2d = weights.reshape(weights.shape[0], weights.shape[1])
+        bias_col = bias[:, None]
+        store = self.float_store(name, layer.relu, compute)
         shape = self._part_shape(layer, rng)
-        out_qparams = self.qparams[name]
-        storage_np = self.storage.numpy_dtype
-        if half:
-            w32 = w2d.astype(np.float16).astype(np.float32)
-            bias32 = np.asarray(bias, dtype=np.float16).astype(
-                np.float32)
-        else:
-            w32 = np.ascontiguousarray(w2d)
-            bias32 = np.asarray(bias)
 
-        if sums:
-            def run_sums(lhs: np.ndarray) -> np.ndarray:
-                return (np.matmul(w32, lhs)
-                        + bias32[:, None]).reshape(shape)
-
-            return run_sums
-
-        table = self.store_table(name, relu) if half and quantized else None
+        def sums(lhs: np.ndarray) -> np.ndarray:
+            rows = np.matmul(w2d, lhs)
+            rows += bias_col
+            return rows.reshape(shape)
 
         def run(lhs: np.ndarray) -> np.ndarray:
-            rows = np.matmul(w32, lhs)
-            if table is not None:
-                rows += bias32[:, None]
-                halves = rows.astype(np.float16).view(np.uint16)
-                return np.take(table, halves).reshape(shape)
-            rows = rows + bias32[:, None]
-            if half:
-                rows = rows.astype(np.float16)
-            if quantized:
-                assert out_qparams is not None
-                return quantize_store(rows, out_qparams,
-                                      relu).reshape(shape)
-            if half:
-                rows = rows.astype(np.float32)
-            if relu:
-                rows = np.maximum(rows, 0.0)
-            out = rows.reshape(shape)
-            if out.dtype == storage_np:
-                return out
-            return out.astype(storage_np)
+            return store(sums(lhs))
 
-        return run
+        if self.storage is DType.QUINT8:
+            return "nchw_half", run, sums
+        if compute is DType.F16:
+            return "nchw_f16", run, sums
+        return "nchw_f32", run, sums
 
     # -- depthwise convolution ------------------------------------------------
 
@@ -825,70 +759,20 @@ class _Lowering:
                     for resource, _ in parts_meta}
         if len(computes) == 1:
             parts_meta = ((parts_meta[0][0], None),)
-        columns_builders = self._depthwise_columns_builders(
-            layer, x_qparams, in_shape)
+        builders = self._depthwise_builders(layer, x_qparams, in_shape)
         parts = [self._depthwise_part(name, layer, resource, rng,
                                       x_qparams, in_shape)
                  for resource, rng in parts_meta]
-        return (self._depthwise_fn(parts, columns_builders,
-                                   int(in_shape[1])), "reference")
+        return self._parts_fn(parts, builders, 1), "reference"
 
-    def _depthwise_fn(
-            self, parts: List[Tuple[Optional[str],
-                                    Optional[Tuple[int, int]],
-                                    Callable[[np.ndarray], np.ndarray]]],
-            columns_builders: Dict[str, PrepareFn],
-            channels_total: int) -> StepFn:
-        """The step fn over one set of depthwise parts.
-
-        A part whose column variant is ``None`` (the integer
-        :func:`~repro.kernels.depthwise_rows` kernel) reads the step
-        input itself; the others share one im2col column matrix per
-        variant, built on first use.
-        """
-
-        def fn(inputs: List[np.ndarray]) -> np.ndarray:
-            (x,) = inputs
-            cols_cache: Dict[str, np.ndarray] = {}
-            outs = []
-            for variant, rng, part in parts:
-                if variant is None:
-                    outs.append(part(x))
-                    continue
-                cols = cols_cache.get(variant)
-                if cols is None:
-                    cols = columns_builders[variant](x)
-                    cols_cache[variant] = cols
-                outs.append(part(self._slice_columns(
-                    cols, rng, channels_total)))
-            if len(outs) == 1:
-                return outs[0]
-            return np.concatenate(outs, axis=1)
-
-        return fn
-
-    def _slice_columns(self, columns: np.ndarray,
-                       rng: Optional[Tuple[int, int]],
-                       channels_total: int) -> np.ndarray:
-        """One placement's channel slice of the full column matrix
-        (bit-exact against lowering the part's channel slice, as the
-        interpreter does: each channel is an independent image)."""
-        if rng is None or rng == (0, channels_total):
-            return columns
-        lo, hi = rng
-        patches, kk = columns.shape[1], columns.shape[2]
-        view = columns.reshape(self.batch, channels_total, patches,
-                               kk)[:, lo:hi]
-        return np.ascontiguousarray(view).reshape(
-            self.batch * (hi - lo), patches, kk)
-
-    def _depthwise_columns_builders(
-            self, layer: DepthwiseConv2D,
-            x_qparams: Optional[QuantParams],
-            in_shape: Tuple[int, ...]
-    ) -> Dict[str, PrepareFn]:
+    def _depthwise_builders(self, layer: DepthwiseConv2D,
+                            x_qparams: Optional[QuantParams],
+                            in_shape: Tuple[int, ...]
+                            ) -> Dict[str, PrepareFn]:
+        """The step input itself (``"input"``, read by the integer
+        :func:`~repro.kernels.depthwise_rows` kernel) and the float
+        parts' shared per-channel im2col columns."""
         in_h, in_w = int(in_shape[2]), int(in_shape[3])
-        builders: Dict[str, PrepareFn] = {}
 
         def lower(values: np.ndarray, pad: float) -> np.ndarray:
             n, c = values.shape[0], values.shape[1]
@@ -896,6 +780,10 @@ class _Lowering:
                           layer.kernel, layer.stride, layer.padding,
                           pad_value=pad)
 
+        def read_input(x: np.ndarray) -> np.ndarray:
+            return x
+
+        builders: Dict[str, PrepareFn] = {"input": read_input}
         if self.storage is DType.QUINT8:
             assert x_qparams is not None
             pad = float(x_qparams.zero_point)
@@ -925,8 +813,8 @@ class _Lowering:
                         resource: str, rng: Optional[Tuple[int, int]],
                         x_qparams: Optional[QuantParams],
                         in_shape: Tuple[int, ...]
-                        ) -> Tuple[Optional[str], Optional[Tuple[int, int]],
-                                   Callable[[np.ndarray], np.ndarray]]:
+                        ) -> Tuple[str, PartFn]:
+        """(operand variant, run) of one processor's channel slice."""
         compute = self.policy.compute_dtype(resource)
         total = int(in_shape[1])
         lo, hi = (0, total) if rng is None else rng
@@ -937,11 +825,11 @@ class _Lowering:
                                       layer.stride, layer.padding)
         bias = layer.bias[lo:hi]
         relu = layer.relu
-        out_qparams = self.qparams[name]
-        storage_np = self.storage.numpy_dtype
 
-        if self.storage is DType.QUINT8 and compute is DType.QUINT8:
-            assert x_qparams is not None and out_qparams is not None
+        if self._integer(resource):
+            assert x_qparams is not None
+            out_qparams = self.qparams[name]
+            assert out_qparams is not None
             weight_codes, w_qparams = self.quantized_weights(
                 layer.weights)
             taps = pack_depthwise_taps(weight_codes[lo:hi],
@@ -957,7 +845,7 @@ class _Lowering:
                     x[:, lo:hi], taps, bias_i32, layer.stride,
                     layer.padding, x_zero))
 
-            return None, rng, run_int
+            return "input", run_int
 
         # Float compute (uniform float or F16-over-quantized storage).
         half = compute is DType.F16
@@ -966,43 +854,37 @@ class _Lowering:
             w = w.astype(np.float16).astype(np.float32)
         filters = np.tile(w.reshape(channels, -1), (batch, 1))
         if self.storage is DType.QUINT8:
-            # The depthwise float lowering dequantizes via
-            # Tensor.to_float (f32), optionally rounding through f16 --
-            # the interpreter's depthwise dequantization table.
+            # The depthwise F16 lowering dequantizes via Tensor.to_float
+            # (f32) rounded through f16 -- the interpreter's depthwise
+            # dequantization table.
             assert x_qparams is not None
-            table = x_qparams.dequantize(np.arange(256, dtype=np.uint8))
-            if half:
-                table = table.astype(np.float16).astype(np.float32)
-            columns_variant = "codes"
+            table: Optional[np.ndarray] = x_qparams.dequantize(
+                np.arange(256, dtype=np.uint8)).astype(
+                    np.float16).astype(np.float32)
+            variant = "codes"
         else:
             table = None
-            columns_variant = "f16f" if half else "f32f"
-        store = (self.store_table(name, relu)
-                 if half and self.storage is DType.QUINT8 else None)
+            variant = "f16f" if half else "f32f"
+        store = self.float_store(name, relu, compute)
+        whole = (lo, hi) == (0, total)
 
         def run_float(columns: np.ndarray) -> np.ndarray:
+            if not whole:
+                # This part's rows of the shared columns: each channel
+                # is an independent image, so slicing the columns is
+                # bit-exact against lowering the channel slice.
+                patches, kk = columns.shape[1], columns.shape[2]
+                columns = np.ascontiguousarray(columns.reshape(
+                    batch, total, patches, kk)[:, lo:hi]).reshape(
+                        batch * channels, patches, kk)
             if table is not None:
                 columns = np.take(table, columns, mode="wrap")
             out = np.einsum("npk,nk->np", columns, filters)
             out = out.reshape(batch, channels, out_h, out_w)
-            out = out + bias[None, :, None, None]
-            if store is not None:
-                return np.take(store,
-                               out.astype(np.float16).view(np.uint16))
-            if self.storage is DType.QUINT8:
-                assert out_qparams is not None
-                return quantize_store(out.astype(np.float32, copy=False),
-                                      out_qparams, relu)
-            if half:
-                out = out.astype(np.float16).astype(np.float32)
-            if relu:
-                out = np.maximum(out, 0.0)
-            out = out.astype(np.float32)
-            if out.dtype == storage_np:
-                return out
-            return out.astype(storage_np)
+            out += bias[None, :, None, None]
+            return store(out)
 
-        return columns_variant, rng, run_float
+        return variant, run_float
 
     # -- placement-invariant layers -------------------------------------------
 

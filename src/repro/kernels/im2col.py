@@ -76,10 +76,20 @@ def im2col(images: np.ndarray, kernel: int, stride: int, padding: int,
     return np.ascontiguousarray(columns)
 
 
-def col2im_shape(batch: int, out_channels: int, out_h: int,
-                 out_w: int) -> Tuple[int, int, int, int]:
-    """NCHW shape of the convolution output after the GEMM."""
-    return (batch, out_channels, out_h, out_w)
+def fold_gemm_output(out_rows: np.ndarray,
+                     shape: Tuple[int, ...]) -> np.ndarray:
+    """GEMM output rows back to the layer's output layout.
+
+    A conv GEMM over :func:`im2col` columns yields one row per output
+    position, ``(batch * out_h * out_w, out_c)``; this folds them to
+    NCHW ``shape`` (a contiguous copy).  Any other ``shape`` (an FC
+    layer's ``(batch, features)``) is a plain reshape.
+    """
+    if len(shape) == 4:
+        batch, out_c, out_h, out_w = shape
+        out = out_rows.reshape(batch, out_h, out_w, out_c)
+        return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    return out_rows.reshape(shape)
 
 
 def flatten_filters(filters: np.ndarray) -> np.ndarray:

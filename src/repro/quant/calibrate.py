@@ -98,8 +98,22 @@ class CalibrationTable:
         self._frozen: Dict[str, QuantParams] = {}
 
     def observe(self, layer_name: str, values: np.ndarray) -> None:
-        """Record one batch of a layer's float output."""
+        """Record one batch of a layer's float output.
+
+        Raises:
+            CalibrationError: if the batch holds a NaN or an infinity.
+                A min/max range would drop a NaN without a trace
+                (``min(x, nan)`` is ``x``) and cannot quantize an
+                infinite bound, so the error names the value, the layer
+                and the batch (its index among the batches this layer
+                has seen, from 0).
+        """
         observer = self._observers.setdefault(layer_name, MinMaxObserver())
+        if not np.isfinite(values).all():
+            kind = "NaN" if np.isnan(values).any() else "inf"
+            raise CalibrationError(
+                f"calibration batch {observer.samples} of layer "
+                f"{layer_name!r} holds {kind}")
         observer.observe(values)
 
     def freeze(self) -> None:

@@ -7,9 +7,7 @@ from .branch_dist import (BranchProfile, best_branch_mapping,
                           estimate_mapping, profile_branches)
 from .compute import LayerComputer
 from .distribution import (channel_ranges, output_channels_of,
-                           share_counts, split_conv_weights,
-                           split_counts, split_depthwise_weights,
-                           split_fc_weights, split_layer_work,
+                           share_counts, split_counts,
                            split_layer_work_shares)
 from .executor import Executor
 from .metrics import (InferenceResult, LayerTrace, geometric_mean,
@@ -37,11 +35,7 @@ __all__ = [
     "profile_branches",
     "LayerComputer",
     "output_channels_of",
-    "split_conv_weights",
     "split_counts",
-    "split_depthwise_weights",
-    "split_fc_weights",
-    "split_layer_work",
     "split_layer_work_shares",
     "share_counts",
     "channel_ranges",

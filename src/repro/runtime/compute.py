@@ -30,8 +30,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import PlanError, QuantizationError
-from ..kernels import (conv_output_hw, flatten_filters, gemm_f16,
-                       im2col, max_pool, qgemm)
+from ..kernels import (conv_output_hw, flatten_filters, fold_gemm_output,
+                       gemm_f16, im2col, max_pool, qgemm)
 from ..nn import Graph, LayerKind
 from ..nn.layers import (Conv2D, DepthwiseConv2D, FullyConnected)
 from ..kernels.qgemm import quantize_bias
@@ -194,8 +194,7 @@ class LayerComputer:
                                       channel_range)
         if storage is DType.QUINT8:
             return self._gemm_float_over_quant(name, layer, x, weights,
-                                               bias, channel_range,
-                                               compute_dtype)
+                                               bias, channel_range)
         return self._gemm_float(name, layer, x, weights, bias,
                                 channel_range, compute_dtype)
 
@@ -205,15 +204,6 @@ class LayerComputer:
                                       layer.kernel, layer.stride,
                                       layer.padding)
         return (x_arr.shape[0], out_channels, out_h, out_w)
-
-    @staticmethod
-    def _fold_gemm_output(out_rows: np.ndarray,
-                          shape: Tuple[int, ...]) -> np.ndarray:
-        if len(shape) == 4:
-            batch, out_c, out_h, out_w = shape
-            out = out_rows.reshape(batch, out_h, out_w, out_c)
-            return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
-        return out_rows.reshape(shape)
 
     def _gemm_integer(self, name: str, layer, x: Tensor,
                       weights: np.ndarray, bias: np.ndarray,
@@ -242,15 +232,16 @@ class LayerComputer:
         out_qparams = self._out_qparams(name)
         out_rows = qgemm(lhs, x_qparams, rhs, w_qparams, out_qparams,
                          bias=bias_slice, relu=layer.relu)
-        folded = self._fold_gemm_output(out_rows, shape)
+        folded = fold_gemm_output(out_rows, shape)
         return Tensor(folded, DType.QUINT8, out_qparams)
 
     def _gemm_float_over_quant(self, name: str, layer, x: Tensor,
                                weights: np.ndarray, bias: np.ndarray,
-                               channel_range: Optional[Tuple[int, int]],
-                               compute_dtype: DType) -> Tensor:
+                               channel_range: Optional[Tuple[int, int]]
+                               ) -> Tensor:
         """GPU path: load QUInt8, compute in F16, requantize
-        (Figure 9b)."""
+        (Figure 9b).  F16 is the only float pipeline a policy admits
+        over QUInt8 storage (:class:`QuantizationPolicy`)."""
         weights_slice, bias_slice = weights, bias
         if channel_range is not None:
             lo, hi = channel_range
@@ -265,8 +256,6 @@ class LayerComputer:
         # pipeline's zero padding.  The compiled program shares one
         # code column matrix between a cooperative layer's pipelines.
         lut = dequantize_lut(x_qparams)
-        if compute_dtype is not DType.F16:   # F32 over quantized storage
-            lut = lut.astype(np.float32)
         if isinstance(layer, Conv2D):
             codes = im2col(x.data, layer.kernel, layer.stride,
                            layer.padding,
@@ -276,17 +265,14 @@ class LayerComputer:
             shape = self._conv_out_shape(layer, x.data,
                                          weights_slice.shape[0])
         else:
-            lhs = dequantize_to_half(x.data, x_qparams).astype(lut.dtype)
+            lhs = dequantize_to_half(x.data, x_qparams)
             rhs = weights_slice.T
             shape = (x.data.shape[0], weights_slice.shape[0])
-        if compute_dtype is DType.F16:
-            out_rows = gemm_f16(lhs, rhs.astype(np.float16),
-                                bias_slice).astype(np.float32)
-        else:
-            out_rows = lhs @ rhs + bias_slice
+        out_rows = gemm_f16(lhs, rhs.astype(np.float16),
+                            bias_slice).astype(np.float32)
         if layer.relu:
             out_rows = np.maximum(out_rows, 0.0)
-        folded = self._fold_gemm_output(out_rows, shape)
+        folded = fold_gemm_output(out_rows, shape)
         out_qparams = self._out_qparams(name)
         return Tensor(out_qparams.quantize(folded), DType.QUINT8,
                       out_qparams)
@@ -323,7 +309,7 @@ class LayerComputer:
             out_rows = lhs @ rhs + bias_slice
         if layer.relu:
             out_rows = np.maximum(out_rows, 0.0)
-        folded = self._fold_gemm_output(out_rows, shape)
+        folded = fold_gemm_output(out_rows, shape)
         return self._store(name, folded)
 
     # -- depthwise convolution ------------------------------------------------

@@ -9,20 +9,19 @@ computation is duplicated:
 * pooling (and depthwise convolution, whose channels are likewise
   independent) distributes the **input channels** (Figure 7b).
 
-This module provides the arithmetic of that split: channel counts, the
-per-processor :class:`~repro.nn.LayerWork` fractions the timing model
-costs, and the weight slices the functional executor computes with.
+This module provides the arithmetic of that split: channel counts,
+contiguous per-processor channel ranges, and the per-processor
+:class:`~repro.nn.LayerWork` fractions the timing model costs.  The
+compiler and the interpreter slice weights by those ranges
+themselves.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Mapping, Tuple
 
-import numpy as np
-
 from ..errors import PlanError
 from ..nn import Graph, LayerWork
-from ..nn.layers import Conv2D, DepthwiseConv2D, FullyConnected
 
 
 def split_counts(total_channels: int, split: float) -> Tuple[int, int]:
@@ -115,7 +114,14 @@ def channel_ranges(total_channels: int, shares: "Mapping[str, float]"
 def split_layer_work_shares(graph: Graph, layer_name: str,
                             shares: "Mapping[str, float]"
                             ) -> "Dict[str, LayerWork]":
-    """Per-processor work of a layer split by fractional shares."""
+    """Per-processor work of a layer split by fractional shares.
+
+    The exact channel counts of :func:`share_counts` (not the raw
+    shares) determine the fractions, so the timing model sees the same
+    rounding the functional split does.  For filter-split layers every
+    processor reads the *entire* input; for input-split layers each
+    reads only its channel portion.
+    """
     layer = graph.layer(layer_name)
     if not layer.supports_channel_split:
         raise PlanError(
@@ -131,6 +137,7 @@ def split_layer_work_shares(graph: Graph, layer_name: str,
         fraction = count / total
         scaled = work.scaled(fraction)
         if layer.splits_filters:
+            # The input is shared: every processor reads all of it.
             scaled = _with_input(scaled, work.input_elements)
         result[resource] = scaled
     return result
@@ -144,74 +151,9 @@ def output_channels_of(graph: Graph, layer_name: str) -> int:
     return shape[1]          # NCHW channel axis
 
 
-def split_layer_work(graph: Graph, layer_name: str,
-                     split: float) -> Tuple[LayerWork, LayerWork]:
-    """Per-processor work of a cooperatively executed layer.
-
-    Returns (cpu_work, gpu_work).  The exact channel counts (not the
-    raw ratio) determine the fractions, so the timing model sees the
-    same rounding the functional split does.
-
-    For filter-split layers both processors read the *entire* input;
-    for input-split layers each processor reads only its channel
-    portion.
-    """
-    layer = graph.layer(layer_name)
-    if not layer.supports_channel_split:
-        raise PlanError(
-            f"layer {layer_name!r} ({layer.kind}) does not support "
-            "channel-wise distribution")
-    shapes = graph.infer_shapes()
-    input_shapes = [shapes[p] for p in graph.inputs_of(layer_name)]
-    work = layer.work(input_shapes)
-    total = output_channels_of(graph, layer_name)
-    cpu_channels, gpu_channels = split_counts(total, split)
-    cpu_fraction = cpu_channels / total
-    gpu_fraction = gpu_channels / total
-    cpu_work = work.scaled(cpu_fraction)
-    gpu_work = work.scaled(gpu_fraction)
-    if layer.splits_filters:
-        # The input is shared: both processors read all of it.
-        cpu_work = _with_input(cpu_work, work.input_elements)
-        gpu_work = _with_input(gpu_work, work.input_elements)
-    return cpu_work, gpu_work
-
-
 def _with_input(work: LayerWork, input_elements: int) -> LayerWork:
     return LayerWork(macs=work.macs, simple_ops=work.simple_ops,
                      param_elements=work.param_elements,
                      input_elements=input_elements,
                      output_elements=work.output_elements,
                      parallel_channels=work.parallel_channels)
-
-
-def split_conv_weights(layer: Conv2D, cpu_channels: int
-                       ) -> Tuple[Tuple[np.ndarray, np.ndarray],
-                                  Tuple[np.ndarray, np.ndarray]]:
-    """Disjoint filter subsets of a conv layer: (CPU, GPU) pairs of
-    (weights, bias).  The CPU takes output channels [0, cpu_channels)."""
-    if layer.weights is None or layer.bias is None:
-        raise PlanError(f"conv {layer.name!r} has no weights to split")
-    return ((layer.weights[:cpu_channels], layer.bias[:cpu_channels]),
-            (layer.weights[cpu_channels:], layer.bias[cpu_channels:]))
-
-
-def split_fc_weights(layer: FullyConnected, cpu_channels: int
-                     ) -> Tuple[Tuple[np.ndarray, np.ndarray],
-                                Tuple[np.ndarray, np.ndarray]]:
-    """Disjoint output-neuron subsets of an FC layer."""
-    if layer.weights is None or layer.bias is None:
-        raise PlanError(f"fc {layer.name!r} has no weights to split")
-    return ((layer.weights[:cpu_channels], layer.bias[:cpu_channels]),
-            (layer.weights[cpu_channels:], layer.bias[cpu_channels:]))
-
-
-def split_depthwise_weights(layer: DepthwiseConv2D, cpu_channels: int
-                            ) -> Tuple[Tuple[np.ndarray, np.ndarray],
-                                       Tuple[np.ndarray, np.ndarray]]:
-    """Disjoint channel subsets of a depthwise conv's filters."""
-    if layer.weights is None or layer.bias is None:
-        raise PlanError(
-            f"depthwise conv {layer.name!r} has no weights to split")
-    return ((layer.weights[:cpu_channels], layer.bias[:cpu_channels]),
-            (layer.weights[cpu_channels:], layer.bias[cpu_channels:]))

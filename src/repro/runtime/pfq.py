@@ -16,13 +16,15 @@ The paper's processor-friendly policy is:
   pre-trained output range.
 
 Uniform policies (same dtype everywhere) express the baselines of
-Figures 8 and 16.
+Figures 8 and 16.  QUInt8 storage computes in QUInt8 or F16 only: a
+policy that pairs it with F32 compute raises ``QuantizationError``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+from ..errors import QuantizationError
 from ..tensor import DType
 
 
@@ -45,6 +47,17 @@ class QuantizationPolicy:
     activation_storage: DType
     cpu_param_storage: DType
     gpu_param_storage: DType
+
+    def __post_init__(self) -> None:
+        if self.activation_storage is not DType.QUINT8:
+            return
+        for resource in ("cpu", "gpu"):
+            compute = self.compute_dtype(resource)
+            if compute not in (DType.QUINT8, DType.F16):
+                raise QuantizationError(
+                    f"policy {self.name!r}: QUInt8 activation storage "
+                    f"computes in QUInt8 or F16, not {compute} on "
+                    f"{resource}")
 
     def compute_dtype(self, resource: str) -> DType:
         """Compute dtype for ``"cpu"``, ``"gpu"``, or ``"npu"``.

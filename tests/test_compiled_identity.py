@@ -135,21 +135,25 @@ def test_untuned_program_takes_direct1x1(squeezenet_mini,
 
 def patch_divergent_direct1x1(monkeypatch):
     """Make every direct1x1 float part differ from the reference in
-    its last bit: its GEMM sums by one ulp, its stored codes by one."""
-    definition = _Lowering._direct1x1_float_part
+    its last bit: its GEMM sums by one ulp, its stored output by one
+    code (or one ulp)."""
+    definition = _Lowering._direct1x1_part
 
     def divergent(self, *args, **kwargs):
-        run = definition(self, *args, **kwargs)
+        variant, run, sums = definition(self, *args, **kwargs)
 
-        def perturbed(lhs):
+        def perturbed_run(lhs):
             out = run(lhs)
             if out.dtype == np.uint8:
                 return out ^ np.uint8(1)
             return np.nextafter(out, np.inf)
 
-        return perturbed
+        def perturbed_sums(lhs):
+            return np.nextafter(sums(lhs), np.inf)
 
-    monkeypatch.setattr(_Lowering, "_direct1x1_float_part", divergent)
+        return variant, perturbed_run, perturbed_sums
+
+    monkeypatch.setattr(_Lowering, "_direct1x1_part", divergent)
 
 
 def test_divergent_direct1x1_falls_back_to_reference(

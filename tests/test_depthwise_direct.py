@@ -9,6 +9,8 @@ every geometry, zero point, channel slice and bias -- including a bias
 that makes the int32 sum wrap.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,17 @@ def _compiled_vs_interpreted(graph, calibration, policy, placement,
     return compiled, interpreted.data
 
 
+def _f16_overflow(caught, policy, placement):
+    """Whether every warning in ``caught`` is an f16 cast overflow from
+    a case with an F16 part.  A bias near INT32_MAX sends the F16
+    part's sums past 65504: both paths cast them to inf and store
+    saturated codes, and numpy reports each cast as an overflow."""
+    f16_part = policy is PROCESSOR_FRIENDLY and placement != "cpu"
+    return all(f16_part and issubclass(w.category, RuntimeWarning)
+               and "overflow encountered in cast" in str(w.message)
+               for w in caught)
+
+
 def _reference(x, codes, weight_zero, bias, stride, padding,
                input_zero):
     """im2col + an exact int64 einsum, wrapped to int32."""
@@ -147,8 +160,11 @@ class TestDirectDepthwiseIdentity:
     @settings(max_examples=200, deadline=None)
     def test_byte_identical_to_interpreter(self, case):
         graph, calibration, policy, placement, codes = case
-        compiled, interpreted = _compiled_vs_interpreted(
-            graph, calibration, policy, placement, codes)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            compiled, interpreted = _compiled_vs_interpreted(
+                graph, calibration, policy, placement, codes)
+        assert _f16_overflow(caught, policy, placement)
         assert compiled.dtype == np.uint8
         assert compiled.shape == interpreted.shape
         assert compiled.tobytes() == interpreted.tobytes()
@@ -175,10 +191,17 @@ class TestDirectDepthwiseIdentity:
         assert exact > INT32_MAX
         calibration = _calibration(in_qparams,
                                    QuantParams.from_range(-4.0, 4.0))
-        for placement in ("cpu", "split", "three_way"):
-            compiled, interpreted = _compiled_vs_interpreted(
-                graph, calibration, PROCESSOR_FRIENDLY, placement,
-                codes)
+        compiled, interpreted = _compiled_vs_interpreted(
+            graph, calibration, PROCESSOR_FRIENDLY, "cpu", codes)
+        assert compiled.tobytes() == interpreted.tobytes()
+        # The GPU's F16 part of a split sums past 65504, so both paths
+        # overflow its f16 cast to inf and store saturated codes.
+        for placement in ("split", "three_way"):
+            with pytest.warns(RuntimeWarning,
+                              match="overflow encountered in cast"):
+                compiled, interpreted = _compiled_vs_interpreted(
+                    graph, calibration, PROCESSOR_FRIENDLY, placement,
+                    codes)
             assert compiled.tobytes() == interpreted.tobytes()
 
     def test_kernel_matches_im2col_einsum(self, rng):

@@ -1,9 +1,12 @@
 """Tests for fake quantization and calibration observers."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.errors import CalibrationError
+from repro.nn import calibrate_graph
 from repro.quant import (CalibrationTable, EmaRangeObserver,
                          MinMaxObserver, PercentileObserver,
                          fake_quantize, fake_quantize_gradient,
@@ -136,3 +139,36 @@ class TestCalibrationTable:
         table.freeze()
         qp = table.get("x")
         assert qp.range_min <= -5.0 + qp.scale
+
+    @pytest.mark.parametrize("nan_batch", [0, 1])
+    def test_nan_in_calibration_data_raises(self, squeezenet_mini,
+                                            nan_batch):
+        """A NaN is not folded away by the min/max range: calibration
+        names it, the layer and the batch, in either batch order."""
+        rng = np.random.default_rng(3)
+        batches = [rng.standard_normal((1, 3, 32, 32)).astype(np.float32)
+                   for _ in range(2)]
+        batches[nan_batch][0, 1, 2, 3] = np.nan
+        (input_name,) = squeezenet_mini.input_layers()
+        message = f"batch {nan_batch} of layer {input_name!r} holds NaN"
+        with pytest.raises(CalibrationError, match=re.escape(message)):
+            calibrate_graph(squeezenet_mini, batches)
+
+    def test_inf_in_calibration_data_raises(self, squeezenet_mini):
+        rng = np.random.default_rng(4)
+        batch = rng.standard_normal((1, 3, 32, 32)).astype(np.float32)
+        batch[0, 0, 0, 0] = -np.inf
+        (input_name,) = squeezenet_mini.input_layers()
+        message = f"batch 0 of layer {input_name!r} holds inf"
+        with pytest.raises(CalibrationError, match=re.escape(message)):
+            calibrate_graph(squeezenet_mini, [batch])
+
+    def test_non_finite_batch_records_nothing(self):
+        table = CalibrationTable()
+        table.observe("x", np.array([0.0, 1.0]))
+        with pytest.raises(CalibrationError,
+                           match=re.escape("batch 1 of layer 'x' holds "
+                                           "NaN")):
+            table.observe("x", np.array([np.nan, np.inf]))
+        table.freeze()
+        assert table.get("x") == QuantParams.from_range(0.0, 1.0)

@@ -1,13 +1,17 @@
 """Tests for the channel-wise workload distribution arithmetic."""
 
-import numpy as np
 import pytest
 
 from repro.errors import PlanError
 from repro.models import build_model
-from repro.runtime import (split_conv_weights, split_counts,
-                           split_depthwise_weights, split_fc_weights,
-                           split_layer_work)
+from repro.runtime import split_counts, split_layer_work_shares
+
+
+def _two_way(graph, layer_name, split):
+    """(cpu, gpu) work of a two-way split at CPU share ``split``."""
+    work = split_layer_work_shares(graph, layer_name,
+                                   {"cpu": split, "gpu": 1.0 - split})
+    return work["cpu"], work["gpu"]
 
 
 class TestSplitCounts:
@@ -52,7 +56,7 @@ class TestSplitLayerWork:
     def test_conv_work_partitions_macs(self):
         graph = build_model("vgg_mini", with_weights=False)
         full = graph.layer_work("conv2_1")
-        cpu, gpu = split_layer_work(graph, "conv2_1", 0.5)
+        cpu, gpu = _two_way(graph, "conv2_1", 0.5)
         assert cpu.macs + gpu.macs == pytest.approx(full.macs, abs=2)
         assert cpu.param_elements + gpu.param_elements == pytest.approx(
             full.param_elements, rel=0.01)
@@ -62,7 +66,7 @@ class TestSplitLayerWork:
         (Figure 7a)."""
         graph = build_model("vgg_mini", with_weights=False)
         full = graph.layer_work("conv2_1")
-        cpu, gpu = split_layer_work(graph, "conv2_1", 0.25)
+        cpu, gpu = _two_way(graph, "conv2_1", 0.25)
         assert cpu.input_elements == full.input_elements
         assert gpu.input_elements == full.input_elements
 
@@ -70,14 +74,14 @@ class TestSplitLayerWork:
         """Input-split layers each read only their slice (Figure 7b)."""
         graph = build_model("vgg_mini", with_weights=False)
         full = graph.layer_work("pool1")
-        cpu, gpu = split_layer_work(graph, "pool1", 0.5)
+        cpu, gpu = _two_way(graph, "pool1", 0.5)
         assert cpu.input_elements + gpu.input_elements == pytest.approx(
             full.input_elements, abs=2)
 
     def test_channels_scale_with_split(self):
         graph = build_model("vgg_mini", with_weights=False)
         full = graph.layer_work("conv2_1")
-        cpu, gpu = split_layer_work(graph, "conv2_1", 0.25)
+        cpu, gpu = _two_way(graph, "conv2_1", 0.25)
         assert cpu.parallel_channels == round(0.25
                                               * full.parallel_channels)
         assert (cpu.parallel_channels + gpu.parallel_channels
@@ -86,42 +90,11 @@ class TestSplitLayerWork:
     def test_depthwise_splits_everything(self):
         graph = build_model("mobilenet_mini", with_weights=False)
         full = graph.layer_work("conv1/dw")
-        cpu, gpu = split_layer_work(graph, "conv1/dw", 0.5)
+        cpu, gpu = _two_way(graph, "conv1/dw", 0.5)
         assert cpu.macs + gpu.macs == pytest.approx(full.macs, abs=2)
         assert cpu.input_elements < full.input_elements
 
     def test_unsplittable_layer_rejected(self):
         graph = build_model("squeezenet_mini", with_weights=False)
         with pytest.raises(PlanError, match="does not support"):
-            split_layer_work(graph, "fire1/concat", 0.5)
-
-
-class TestWeightSplitting:
-    def test_conv_split_is_disjoint_and_complete(self, vgg_mini):
-        layer = vgg_mini.layer("conv2_1")
-        (w_cpu, b_cpu), (w_gpu, b_gpu) = split_conv_weights(layer, 5)
-        assert w_cpu.shape[0] == 5
-        assert w_gpu.shape[0] == layer.out_channels - 5
-        np.testing.assert_array_equal(
-            np.concatenate([w_cpu, w_gpu]), layer.weights)
-        np.testing.assert_array_equal(
-            np.concatenate([b_cpu, b_gpu]), layer.bias)
-
-    def test_fc_split(self, vgg_mini):
-        layer = vgg_mini.layer("fc1")
-        (w_cpu, _), (w_gpu, _) = split_fc_weights(layer, 10)
-        assert w_cpu.shape == (10, layer.in_features)
-        np.testing.assert_array_equal(
-            np.concatenate([w_cpu, w_gpu]), layer.weights)
-
-    def test_depthwise_split(self, mobilenet_mini):
-        layer = mobilenet_mini.layer("conv1/dw")
-        (w_cpu, _), (w_gpu, _) = split_depthwise_weights(layer, 3)
-        assert w_cpu.shape[0] == 3
-        np.testing.assert_array_equal(
-            np.concatenate([w_cpu, w_gpu]), layer.weights)
-
-    def test_split_without_weights_raises(self):
-        graph = build_model("vgg_mini", with_weights=False)
-        with pytest.raises(PlanError, match="no weights"):
-            split_conv_weights(graph.layer("conv1_1"), 2)
+            _two_way(graph, "fire1/concat", 0.5)
