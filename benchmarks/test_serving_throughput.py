@@ -13,20 +13,76 @@ Asserts the serving layer's two headline properties:
   per-request, cost (>90% hit rate over a run).
 """
 
+from typing import List
+
 import pytest
 
-from repro.harness import serving_load_sweep
+from repro.harness import ExperimentResult
+from repro.serve import (Fleet, PoissonWorkload, ServingMetrics,
+                         ServingSimulator, default_slos, make_scheduler)
 
+SOCS = ("exynos7420",)
+NUM_DEVICES = 2
+SCHEDULERS = ("fifo", "edf")
 LOAD_LEVELS = (0.4, 0.8, 1.2, 1.8)
 MODELS = ("googlenet_mini", "squeezenet_mini", "vgg_mini")
+NUM_REQUESTS = 250
+SLO_FACTOR = 4.0
+SEED = 0
+
+
+def serving_load_sweep() -> ExperimentResult:
+    """Offered load sweep: one row per (load level, scheduler).
+
+    Every cell re-simulates the *same* seeded arrival trace on a fresh
+    fleet, so schedulers are compared on identical workloads and the
+    whole table is deterministic for a given seed.
+    """
+    probe = Fleet.build(SOCS, NUM_DEVICES)
+    slos = default_slos(probe, MODELS, slo_factor=SLO_FACTOR)
+    capacity = probe.capacity_rps(MODELS)
+    rows: List[List[object]] = []
+    for load in LOAD_LEVELS:
+        rate = load * capacity
+        trace = PoissonWorkload(rate, MODELS, slos,
+                                seed=SEED).generate(NUM_REQUESTS)
+        for name in SCHEDULERS:
+            fleet = Fleet.build(SOCS, NUM_DEVICES)
+            result = ServingSimulator(fleet,
+                                      make_scheduler(name)).run(trace)
+            metrics = ServingMetrics.from_result(result)
+            rows.append([
+                f"{load:.1f}", name, rate,
+                metrics.throughput_rps,
+                metrics.latency_p50_ms,
+                metrics.latency_p99_ms,
+                metrics.slo_attainment,
+                float(metrics.num_shed),
+                metrics.plan_cache["hit_rate"],
+            ])
+    notes = [
+        f"fleet: {NUM_DEVICES} device(s) of {', '.join(SOCS)}; "
+        f"capacity ~{capacity:.1f} rps",
+        f"models: {', '.join(MODELS)}; SLO = {SLO_FACTOR:.1f}x "
+        "unloaded ulayer latency",
+        f"{NUM_REQUESTS} Poisson requests per cell, seed {SEED}; "
+        "shed requests count against SLO attainment",
+    ]
+    return ExperimentResult(
+        experiment="serving",
+        title="offered load vs. p99 latency and SLO attainment "
+              "(FIFO vs. SLO-aware EDF)",
+        headers=["load", "scheduler", "rate_rps", "throughput_rps",
+                 "p50_ms", "p99_ms", "slo_attainment", "shed",
+                 "cache_hit_rate"],
+        rows=rows,
+        notes=notes,
+    )
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    return serving_load_sweep(
-        soc_names=("exynos7420",), num_devices=2, models=MODELS,
-        schedulers=("fifo", "edf"), load_levels=LOAD_LEVELS,
-        num_requests=250, slo_factor=4.0, seed=0)
+    return serving_load_sweep()
 
 
 def test_render_and_archive(sweep, archive):
@@ -76,8 +132,5 @@ def test_plan_cache_hit_rate_after_warmup(sweep):
 
 
 def test_sweep_is_deterministic(sweep):
-    again = serving_load_sweep(
-        soc_names=("exynos7420",), num_devices=2, models=MODELS,
-        schedulers=("fifo", "edf"), load_levels=LOAD_LEVELS,
-        num_requests=250, slo_factor=4.0, seed=0)
+    again = serving_load_sweep()
     assert again.rows == sweep.rows

@@ -633,9 +633,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .models import MINI_MODELS
-    from .serve import (Fleet, PoissonWorkload, ServingMetrics,
-                        ServingSimulator, bursty_for_rate, default_slos,
-                        make_scheduler)
+    from .serve import (Fleet, ServingMetrics, ServingSimulator,
+                        default_slos, make_scheduler)
 
     from .runtime.plan_cache import PlanCache
 
@@ -655,12 +654,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                          batches=tuple(range(1, max_batch + 1)))
     slos = default_slos(fleet, models, slo_factor=args.slo_factor)
     capacity = fleet.capacity_rps(models)
-    if args.load is not None:
-        rate = args.load * capacity
-    elif args.rate is not None:
-        rate = args.rate
-    else:
-        rate = 0.7 * capacity
+    rate = _offered_rate(args, capacity)
     # Static feasibility gate: an unschedulable configuration fails in
     # milliseconds here instead of after a full simulation.
     from .analysis import lint_serve_config
@@ -671,36 +665,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         scheduler=args.scheduler, max_batch=max_batch,
         batch_timeout_s=getattr(scheduler, "batch_timeout_s", 0.0)
         or 0.0)
-    feasibility = lint_serve_config(config, fleet=fleet).sorted()
-    if not feasibility.clean and not args.json:
-        print(f"schedulability: {feasibility.summary()}")
-        for diagnostic in feasibility:
-            print(f"    {diagnostic.render()}")
-    if not feasibility.ok and not args.force:
-        if args.json:
-            print(json.dumps({
-                "error": "configuration is not schedulable",
-                "schedulability": feasibility.to_dict()}, indent=2))
-        else:
-            print("serve: configuration rejected before simulation "
-                  "(rerun with --force to simulate anyway)",
-                  file=sys.stderr)
+    if _schedulability_gate(args,
+                            lint_serve_config(config, fleet=fleet),
+                            "configuration is not schedulable"):
         return 2
-    from .serve import (WorkloadGenerator, diurnal_trace,
-                        flash_crowd_trace, load_trace)
-    workload: WorkloadGenerator
-    if args.trace is not None:
-        workload = load_trace(args.trace, slos, seed=args.seed)
-    elif args.workload == "poisson":
-        workload = PoissonWorkload(rate, models, slos, seed=args.seed)
-    elif args.workload == "bursty":
-        workload = bursty_for_rate(rate, models, slos, seed=args.seed)
-    elif args.workload == "diurnal":
-        workload = diurnal_trace(rate, models, slos, seed=args.seed)
-    else:
-        workload = flash_crowd_trace(rate, models, slos,
-                                     seed=args.seed)
-    requests = workload.generate(args.requests)
+    requests = _workload(args, models, slos,
+                         rate).generate(args.requests)
     result = ServingSimulator(fleet, scheduler).run(requests)
     metrics = ServingMetrics.from_result(result)
     if args.json:
@@ -782,12 +752,45 @@ def _parse_tenants(text: Optional[str]):
     return tuple(tenants)
 
 
-def _cluster_workload(args: argparse.Namespace, models: List[str],
-                      slos, rate: float):
-    """The workload generator the cluster flags select."""
+def _offered_rate(args: argparse.Namespace, capacity: float) -> float:
+    """``--load`` times capacity, else ``--rate``, else 0.7 x
+    capacity."""
+    if args.load is not None:
+        return args.load * capacity
+    if args.rate is not None:
+        return args.rate
+    return 0.7 * capacity
+
+
+def _schedulability_gate(args: argparse.Namespace, feasibility,
+                         error: str, blocked: bool = False) -> bool:
+    """Print the schedulability report; True when the command must
+    exit 2 before simulating -- ``blocked``, or errors without
+    ``--force``."""
+    feasibility = feasibility.sorted()
+    if not feasibility.clean and not args.json:
+        print(f"schedulability: {feasibility.summary()}")
+        for diagnostic in feasibility:
+            print(f"    {diagnostic.render()}")
+    if not blocked and (feasibility.ok or args.force):
+        return False
+    if args.json:
+        print(json.dumps({"error": error,
+                          "schedulability": feasibility.to_dict()},
+                         indent=2))
+    else:
+        print(f"{args.command}: configuration rejected before "
+              "simulation (rerun with --force to simulate anyway)",
+              file=sys.stderr)
+    return True
+
+
+def _workload(args: argparse.Namespace, models: List[str], slos,
+              rate: float, tenants=None):
+    """The workload generator the ``--trace``/``--workload`` flags
+    select; ``tenants`` apply to the diurnal and flash-crowd traces."""
     from .serve import (PoissonWorkload, bursty_for_rate,
                         diurnal_trace, flash_crowd_trace, load_trace)
-    tenants = _parse_tenants(args.tenants)
     if args.trace is not None:
         return load_trace(args.trace, slos, seed=args.seed)
     if args.workload == "poisson":
@@ -828,12 +831,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         (spec.max_replicas if args.autoscaler != "off"
          else spec.start_replicas) * per_soc[spec.soc]
         for spec in pool_specs)
-    if args.load is not None:
-        rate = args.load * capacity
-    elif args.rate is not None:
-        rate = args.rate
-    else:
-        rate = 0.7 * capacity
+    rate = _offered_rate(args, capacity)
 
     autoscaler = AutoscalerConfig(mode=args.autoscaler,
                                   cold_start_s=args.cold_start_ms / 1e3)
@@ -854,24 +852,14 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     else:
         feasibility = lint_cluster_config(config,
                                           pools=simulator.pools)
-    feasibility = feasibility.sorted()
-    if not feasibility.clean and not args.json:
-        print(f"schedulability: {feasibility.summary()}")
-        for diagnostic in feasibility:
-            print(f"    {diagnostic.render()}")
-    if simulator is None or (not feasibility.ok and not args.force):
-        if args.json:
-            print(json.dumps({
-                "error": "cluster configuration is not schedulable",
-                "schedulability": feasibility.to_dict()}, indent=2))
-        else:
-            print("cluster: configuration rejected before simulation "
-                  "(rerun with --force to simulate anyway)",
-                  file=sys.stderr)
+    if _schedulability_gate(args, feasibility,
+                            "cluster configuration is not schedulable",
+                            blocked=simulator is None):
         return 2
 
-    requests = _cluster_workload(args, models, slos,
-                                 rate).generate(args.requests)
+    requests = _workload(args, models, slos, rate,
+                         tenants=_parse_tenants(args.tenants)
+                         ).generate(args.requests)
 
     def run_one(router_name: str) -> ClusterMetrics:
         if router_name == config.router:

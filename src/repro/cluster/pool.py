@@ -3,8 +3,9 @@
 A pool owns a serve-layer :class:`~repro.serve.fleet.Fleet` provisioned
 at ``max_replicas`` devices, of which only the first ``active`` are
 visible to its scheduler -- scaling up or down is a matter of widening
-or narrowing that active prefix, so the existing serve-layer scheduler
-and simulator machinery runs unchanged inside each pool.  All pools of
+or narrowing that active prefix, so the serve-layer scheduler and the
+serve-layer :class:`~repro.serve.simulator.EventLoop` drain run
+unchanged on each pool's fleet and queue.  All pools of
 a cluster share one :class:`~repro.runtime.plan_cache.PlanCache`, which
 is what makes replica activation and warm-plan migration cheap: a new
 replica of an already-serving SoC type finds every plan it needs

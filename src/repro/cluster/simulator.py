@@ -1,11 +1,12 @@
 """The cluster discrete-event simulator: router, pools, autoscaler.
 
-Extends the serve-layer event loop one level up.  Arrivals first pass
-the **router**, which picks a host pool from the request's model's
-replica set; each pool then runs its own serve-layer scheduler over its
-own queue and active replicas, exactly as the single-fleet simulator
-would.  The event kinds are the same three -- arrivals, completions,
-timer wakeups -- with two cluster-level twists:
+Drives the serve-layer :class:`~repro.serve.simulator.EventLoop` one
+level up.  Arrivals first pass the **router**, which picks a host pool
+from the request's model's replica set; the loop then drains each
+pool's own serve-layer scheduler over its own queue and active
+replicas, exactly as the single-fleet simulator would.  The event
+kinds are the loop's -- arrivals and wakeups -- with two cluster-level
+twists:
 
 * **queue caps** -- a pool absorbs an arrival only up to its queue
   bound (per active replica); past it, the least urgent queued request
@@ -28,13 +29,11 @@ byte-identical ``--json`` output across runs and machines.
 from __future__ import annotations
 
 import dataclasses
-import heapq
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..runtime.plan_cache import PlanCache
 from ..serve.fleet import Completion
-from ..serve.scheduler import Shed, Start, StartBatch
-from ..serve.simulator import ShedRecord
+from ..serve.simulator import EventLoop, ShedRecord
 from ..serve.workload import Request
 from .autoscale import Autoscaler, ScaleEvent
 from .config import ClusterConfig
@@ -115,40 +114,18 @@ class ClusterSimulator:
 
     def run(self, requests: Sequence[Request]) -> ClusterResult:
         """Simulate one trace to completion."""
-        events: List[Tuple[float, int, Optional[Request]]] = []
-        sequence = 0
-        for request in sorted(requests,
-                              key=lambda r: (r.arrival_s,
-                                             r.request_id)):
-            heapq.heappush(events,
-                           (request.arrival_s, sequence, request))
-            sequence += 1
-        completions: List[Completion] = []
-        sheds: List[ShedRecord] = []
-        scheduled_wakeups: Set[float] = set()
-        last_arrival = max((r.arrival_s for r in requests), default=0.0)
-
-        def push_wakeup(when: float) -> None:
-            nonlocal sequence
-            if when not in scheduled_wakeups:
-                scheduled_wakeups.add(when)
-                heapq.heappush(events, (when, sequence, None))
-                sequence += 1
-
-        while events:
-            now, _, arrived = heapq.heappop(events)
+        loop = EventLoop(requests)
+        for now, arrived in loop:
             if arrived is not None:
                 hosts = self._hosts[arrived.model]
                 pool = self.router.route(arrived, hosts, now)
                 self.autoscaler.observe_arrival(pool, now)
                 dropped = pool.enqueue(arrived)
                 if dropped is not None:
-                    sheds.append(ShedRecord(request=dropped,
-                                            shed_s=now,
-                                            reason="queue-overflow"))
+                    loop.shed(dropped, now, "queue-overflow")
             for pool in self.pools:
-                sequence = self._drain_pool(pool, now, sequence,
-                                            events, completions, sheds)
+                pool.completed += loop.drain(pool.scheduler, pool.fleet,
+                                             pool.pending, now)
             for pool in self.pools:
                 event = self.autoscaler.evaluate(pool, now)
                 if event is None:
@@ -157,16 +134,13 @@ class ClusterSimulator:
                     # The new replica comes online after its cold
                     # start; poll the pool exactly then (no arrival or
                     # completion is guaranteed to land on the instant).
-                    push_wakeup(now + self.config.autoscaler.cold_start_s)
-                sequence = self._drain_pool(pool, now, sequence,
-                                            events, completions, sheds)
+                    loop.wake_at(now + self.config.autoscaler.cold_start_s)
+                pool.completed += loop.drain(pool.scheduler, pool.fleet,
+                                             pool.pending, now)
             for pool in self.pools:
-                wakeup = pool.scheduler.next_wakeup_s(
-                    pool.pending, pool.fleet, now)
-                if wakeup is not None and wakeup > now:
-                    push_wakeup(wakeup)
-        makespan = max([last_arrival]
-                       + [c.finish_s for c in completions])
+                loop.wake_for(pool.scheduler, pool.fleet, pool.pending,
+                              now)
+        makespan = loop.makespan_s()
         unserved: List[Request] = []
         for pool in self.pools:
             pool.note_time(makespan)
@@ -174,48 +148,8 @@ class ClusterSimulator:
         unserved.sort(key=lambda r: r.request_id)
         return ClusterResult(config=self.config,
                              placement=self.placement,
-                             completions=completions, sheds=sheds,
-                             unserved=unserved,
+                             completions=loop.completions,
+                             sheds=loop.sheds, unserved=unserved,
                              scale_events=self.autoscaler.events,
                              makespan_s=makespan, pools=self.pools,
                              plan_cache=self.plan_cache)
-
-    def _drain_pool(self, pool: Pool, now: float, sequence: int,
-                    events: List[Tuple[float, int, Optional[Request]]],
-                    completions: List[Completion],
-                    sheds: List[ShedRecord]) -> int:
-        """Poll one pool's scheduler until it has nothing startable."""
-        while True:
-            action = pool.scheduler.next_action(pool.pending,
-                                                pool.fleet, now)
-            if action is None:
-                return sequence
-            if isinstance(action, Shed):
-                pool.pending.remove(action.request)
-                sheds.append(ShedRecord(request=action.request,
-                                        shed_s=now,
-                                        reason=action.reason))
-                continue
-            if isinstance(action, StartBatch):
-                for request in action.requests:
-                    pool.pending.remove(request)
-                device = pool.fleet.device(action.device_id)
-                batch = pool.fleet.execute_batch(
-                    list(action.requests), device, action.mechanism,
-                    now)
-                completions.extend(batch)
-                pool.completed += len(batch)
-                heapq.heappush(events,
-                               (batch[0].finish_s, sequence, None))
-                sequence += 1
-                continue
-            assert isinstance(action, Start)
-            pool.pending.remove(action.request)
-            device = pool.fleet.device(action.device_id)
-            completion = pool.fleet.execute(action.request, device,
-                                            action.mechanism, now)
-            completions.append(completion)
-            pool.completed += 1
-            heapq.heappush(events,
-                           (completion.finish_s, sequence, None))
-            sequence += 1

@@ -12,10 +12,8 @@ from .parallel import (default_cli_jobs, default_jobs,
 from .profiles import (LayerProfile, hotspots, memory_bound_layers,
                        profile_layers, render_profile)
 from .report import format_bars, format_table, normalized
-from .serving import serving_load_sweep
 
 __all__ = [
-    "serving_load_sweep",
     "default_cli_jobs",
     "default_jobs",
     "parallel_map",

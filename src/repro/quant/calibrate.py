@@ -11,6 +11,7 @@ into :class:`QuantParams` that the executor's requantization steps use.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Dict, Iterable, Optional
 
 import numpy as np
@@ -27,12 +28,29 @@ class MinMaxObserver:
     maximum: float = -np.inf
     samples: int = 0
 
-    def observe(self, values: np.ndarray) -> None:
-        """Fold one batch of float values into the running range."""
+    def observe(self, values: np.ndarray,
+                layer: Optional[str] = None) -> None:
+        """Fold one batch of float values into the running range.
+
+        Raises:
+            CalibrationError: if the batch holds a NaN or an infinity,
+                before the range or ``samples`` change.  A min/max
+                range would drop a NaN without a trace (``min(x,
+                nan)`` is ``x``) and cannot quantize an infinite bound,
+                so the error names the value and the batch (its index
+                among the batches seen, from 0) -- and ``layer``, when
+                given.
+        """
         if values.size == 0:
             return
-        self.minimum = min(self.minimum, float(values.min()))
-        self.maximum = max(self.maximum, float(values.max()))
+        low, high = float(values.min()), float(values.max())
+        if not (math.isfinite(low) and math.isfinite(high)):
+            kind = "NaN" if math.isnan(low) or math.isnan(high) else "inf"
+            where = "" if layer is None else f" of layer {layer!r}"
+            raise CalibrationError(
+                f"calibration batch {self.samples}{where} holds {kind}")
+        self.minimum = min(self.minimum, low)
+        self.maximum = max(self.maximum, high)
         self.samples += 1
 
     @property
@@ -101,20 +119,12 @@ class CalibrationTable:
         """Record one batch of a layer's float output.
 
         Raises:
-            CalibrationError: if the batch holds a NaN or an infinity.
-                A min/max range would drop a NaN without a trace
-                (``min(x, nan)`` is ``x``) and cannot quantize an
-                infinite bound, so the error names the value, the layer
-                and the batch (its index among the batches this layer
-                has seen, from 0).
+            CalibrationError: if the batch holds a NaN or an infinity
+                (see :meth:`MinMaxObserver.observe`; the message names
+                the layer too).
         """
-        observer = self._observers.setdefault(layer_name, MinMaxObserver())
-        if not np.isfinite(values).all():
-            kind = "NaN" if np.isnan(values).any() else "inf"
-            raise CalibrationError(
-                f"calibration batch {observer.samples} of layer "
-                f"{layer_name!r} holds {kind}")
-        observer.observe(values)
+        self._observers.setdefault(layer_name, MinMaxObserver()).observe(
+            values, layer=layer_name)
 
     def freeze(self) -> None:
         """Convert all observed ranges into quantization parameters."""

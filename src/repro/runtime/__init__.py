@@ -3,12 +3,10 @@
 from .baselines import (ThroughputResult, layer_to_processor_plan,
                         run_layer_to_processor, run_network_to_processor,
                         run_single_processor, single_processor_plan)
-from .branch_dist import (BranchProfile, best_branch_mapping,
-                          estimate_mapping, profile_branches)
+from .branch_dist import BranchProfile, estimate_mapping, profile_branches
 from .compute import LayerComputer
 from .distribution import (channel_ranges, output_channels_of,
-                           share_counts, split_counts,
-                           split_layer_work_shares)
+                           share_counts, split_layer_work_shares)
 from .executor import Executor
 from .metrics import (InferenceResult, LayerTrace, geometric_mean,
                       speed_improvement)
@@ -30,12 +28,10 @@ __all__ = [
     "run_single_processor",
     "single_processor_plan",
     "BranchProfile",
-    "best_branch_mapping",
     "estimate_mapping",
     "profile_branches",
     "LayerComputer",
     "output_channels_of",
-    "split_counts",
     "split_layer_work_shares",
     "share_counts",
     "channel_ranges",

@@ -18,9 +18,8 @@ conv/FC) are never mapped to it.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from ..nn import BranchRegion, Graph, LayerKind, LayerWork
 from ..soc import ISSUE_US, SoCSpec
@@ -104,23 +103,3 @@ def estimate_mapping(profiles: Sequence[BranchProfile],
     if accel_used:
         estimate += sync_s
     return estimate
-
-
-def best_branch_mapping(profiles: Sequence[BranchProfile],
-                        sync_s: float,
-                        resources: Tuple[str, ...] = ("cpu", "gpu")
-                        ) -> Tuple[Tuple[str, ...], float]:
-    """The latency-optimal branch-to-processor mapping.
-
-    Enumerates all |resources|^B assignments (B is small: Inception
-    has four branches, Fire has two) and returns
-    (mapping, estimated latency).
-    """
-    best_mapping: Tuple[str, ...] = ("cpu",) * len(profiles)
-    best_latency = float("inf")
-    for mapping in itertools.product(resources, repeat=len(profiles)):
-        latency = estimate_mapping(profiles, mapping, sync_s)
-        if latency < best_latency:
-            best_latency = latency
-            best_mapping = mapping
-    return best_mapping, best_latency

@@ -24,29 +24,6 @@ from ..errors import PlanError
 from ..nn import Graph, LayerWork
 
 
-def split_counts(total_channels: int, split: float) -> Tuple[int, int]:
-    """Partition ``total_channels`` into (CPU, GPU) counts.
-
-    The CPU receives ``round(split * total)`` channels.  For a strictly
-    cooperative split (0 < p < 1) of at least two channels, both
-    processors are guaranteed at least one channel so neither side
-    degenerates to a no-op kernel.
-
-    Raises:
-        PlanError: if the split is outside [0, 1] or there are no
-            channels to split.
-    """
-    if not 0.0 <= split <= 1.0:
-        raise PlanError(f"split {split} outside [0, 1]")
-    if total_channels < 1:
-        raise PlanError("cannot split a layer with no channels")
-    cpu = int(round(split * total_channels))
-    cpu = max(0, min(total_channels, cpu))
-    if 0.0 < split < 1.0 and total_channels >= 2:
-        cpu = max(1, min(total_channels - 1, cpu))
-    return cpu, total_channels - cpu
-
-
 #: Canonical resource order for channel ranges: the CPU takes the
 #: leading channels, the NPU the middle, the GPU the tail.
 RESOURCE_ORDER = ("cpu", "npu", "gpu")

@@ -599,7 +599,7 @@ class _RunState:
                 continue
             prev = fork_ready
             for name in branch:
-                prev = self._run_branch_layer_accel(name, target, prev)
+                prev = self._run_on_accel(name, target, prev, {target})
         for branch, target in pairs:
             if target != CPU:
                 continue
@@ -608,42 +608,4 @@ class _RunState:
                                         fork_resources)
             prev = fork_ready
             for name in branch:
-                prev = self._run_branch_layer_cpu(name, prev)
-
-    def _run_branch_layer_accel(self, name: str, resource: str,
-                                prev: float) -> float:
-        if resource not in self.queues:
-            raise PlanError(
-                f"branch layer {name!r} targets {resource} but "
-                f"{self.soc.name} has no such processor")
-        work = self._layer_work(name)
-        cost = self._cost(resource, work)
-        event = self.queues[resource].enqueue(
-            name, cost.busy_s, self.policy.compute_dtype(resource),
-            ready=prev)
-        self.traffic += kernel_traffic_bytes(
-            work, self.policy.activation_storage,
-            self.policy.param_storage(resource), batch=self.batch)
-        self.ready[name] = event.completed_at
-        self.producers[name] = {resource}
-        self._compute_value(name, resource)
-        gpu_busy = cost.total_s if resource == GPU else 0.0
-        self._record(name, resource, 0.0, prev, event.completed_at,
-                     cpu_busy=0.0, gpu_busy=gpu_busy)
-        return event.completed_at
-
-    def _run_branch_layer_cpu(self, name: str, prev: float) -> float:
-        work = self._layer_work(name)
-        cost = self._cost(CPU, work)
-        segment = self.timeline.reserve(
-            CPU, cost.total_s, name, "compute",
-            dtype=self.policy.cpu_compute, earliest=prev)
-        self.traffic += kernel_traffic_bytes(
-            work, self.policy.activation_storage,
-            self.policy.cpu_param_storage, batch=self.batch)
-        self.ready[name] = segment.end
-        self.producers[name] = {CPU}
-        self._compute_value(name, "cpu")
-        self._record(name, "cpu", 1.0, prev, segment.end,
-                     cpu_busy=cost.total_s, gpu_busy=0.0)
-        return segment.end
+                prev = self._run_on_cpu(name, prev, {CPU})

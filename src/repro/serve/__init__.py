@@ -15,7 +15,7 @@ from .fleet import (Completion, Device, Fleet, SINGLE_PROCESSOR_DTYPES,
 from .metrics import ServingMetrics, percentile
 from .scheduler import (Action, DynamicBatchScheduler, EDFScheduler,
                         FIFOScheduler, LeastLoadedScheduler, Scheduler,
-                        Shed, Start, StartBatch, make_scheduler)
+                        Shed, Start, make_scheduler)
 from .simulator import ServingResult, ServingSimulator, ShedRecord
 from .workload import (BurstyWorkload, PoissonWorkload, Request,
                        TenantClass, TraceSegment, TraceWorkload,
@@ -40,7 +40,6 @@ __all__ = [
     "Scheduler",
     "Shed",
     "Start",
-    "StartBatch",
     "make_scheduler",
     "ServingResult",
     "ServingSimulator",

@@ -550,30 +550,20 @@ class Fleet:
 
     def execute(self, request: Request, device: Device, mechanism: str,
                 start_s: float) -> Completion:
-        """Run one request on a device, advancing its clocks.
-
-        The service time is the executor-reported latency of the cached
-        plan; the mechanism's resources are occupied for exactly that
-        span starting at ``start_s``.
-        """
-        result = self._run_memoized(request.model, device, mechanism,
-                                    batch=1)
-        finish = start_s + result.latency_s
-        device.occupy(self.resources_for(request.model, device,
-                                         mechanism),
-                      start_s, finish)
-        return Completion(request=request, device_id=device.device_id,
-                          mechanism=mechanism, start_s=start_s,
-                          finish_s=finish, result=result)
+        """Run one request on a device (a batch of one)."""
+        return self.execute_batch([request], device, mechanism,
+                                  start_s)[0]
 
     def execute_batch(self, requests: Sequence[Request], device: Device,
                       mechanism: str,
                       start_s: float) -> List[Completion]:
-        """Run same-model requests as one batched inference.
+        """Run same-model requests as one inference, advancing the
+        device's clocks.
 
-        The batch executes as a single batch-N plan (weight traffic
-        amortized), occupies the plan's resources for the batched
-        makespan, and every member request completes at the batch's
+        The service time is the executor-reported latency of the cached
+        batch-N plan (weight traffic amortized at N > 1); the plan's
+        resources are occupied for exactly that span starting at
+        ``start_s``, and every member request completes at the batch's
         finish time -- per-request latency is its queue wait plus the
         whole batched run, never a fraction of it.
 
@@ -586,9 +576,6 @@ class Fleet:
         if len(models) > 1:
             raise ValueError(
                 f"one batch must serve one model, got {sorted(models)}")
-        if len(requests) == 1:
-            return [self.execute(requests[0], device, mechanism,
-                                 start_s)]
         (model,) = models
         batch = len(requests)
         result = self._run_memoized(model, device, mechanism,

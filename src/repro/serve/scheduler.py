@@ -1,11 +1,16 @@
 """Serving schedulers: FIFO, least-loaded, SLO-aware EDF, and dynamic
 batching.
 
-A scheduler is consulted by the simulator at every event (arrival,
+A scheduler is consulted by the event loop at every event (arrival,
 completion, or timer wakeup).  It inspects the pending queue and the
-fleet and returns *one* action at a time -- start a request (or a batch
-of same-model requests) on a device via a mechanism, or shed a request
--- until it has nothing more to do at the current simulated time.
+fleet and returns *one* action at a time until it has nothing more to
+do at the current simulated time.  There are two actions:
+
+* :class:`Start` -- dispatch one or more same-model requests as one
+  inference on a device via a mechanism (a batch of one is a plain
+  start);
+* :class:`Shed` -- drop a request (admission control).
+
 Returning single actions keeps the protocol simple and race-free: the
 fleet's clocks advance between calls, so the scheduler always sees the
 true residual capacity.
@@ -51,18 +56,9 @@ from .workload import Request
 
 @dataclasses.dataclass(frozen=True)
 class Start:
-    """Dispatch ``request`` on ``device_id`` via ``mechanism`` now."""
-
-    request: Request
-    device_id: str
-    mechanism: str
-    predicted_service_s: Optional[float] = None
-
-
-@dataclasses.dataclass(frozen=True)
-class StartBatch:
-    """Dispatch same-model ``requests`` as one batched inference on
-    ``device_id`` via ``mechanism`` now."""
+    """Dispatch same-model ``requests`` as one inference on
+    ``device_id`` via ``mechanism`` now (a batch of one is a plain
+    start)."""
 
     requests: Tuple[Request, ...]
     device_id: str
@@ -71,7 +67,7 @@ class StartBatch:
 
     def __post_init__(self) -> None:
         if not self.requests:
-            raise ValueError("StartBatch needs at least one request")
+            raise ValueError("Start needs at least one request")
         models = {request.model for request in self.requests}
         if len(models) > 1:
             raise ValueError(
@@ -86,7 +82,7 @@ class Shed:
     reason: str
 
 
-Action = Union[Start, StartBatch, Shed]
+Action = Union[Start, Shed]
 
 
 class Scheduler(abc.ABC):
@@ -99,10 +95,10 @@ class Scheduler(abc.ABC):
                     now: float) -> Optional[Action]:
         """The next action at simulated time ``now``, or None.
 
-        ``pending`` is in arrival order.  A returned
-        :class:`Start`/:class:`StartBatch` must be startable
-        immediately (its resources idle at ``now``); the simulator
-        executes it, advances the device clocks, and asks again.
+        ``pending`` is in arrival order.  A returned :class:`Start`
+        must be startable immediately (its resources idle at ``now``);
+        the event loop executes it, advances the device clocks, and
+        asks again.
         """
 
     def next_wakeup_s(self, pending: Sequence[Request], fleet: Fleet,
@@ -146,7 +142,7 @@ class FIFOScheduler(Scheduler):
         device = self._pick_device(head, fleet, now)
         if device is None:
             return None
-        return Start(request=head, device_id=device.device_id,
+        return Start(requests=(head,), device_id=device.device_id,
                      mechanism=self.mechanism)
 
 
@@ -245,7 +241,7 @@ class EDFScheduler(Scheduler):
                                                 fleet, now)
                     if batched is not None:
                         return batched
-                return Start(request=request,
+                return Start(requests=(request,),
                              device_id=device.device_id,
                              mechanism=mechanism,
                              predicted_service_s=service)
@@ -257,14 +253,14 @@ class EDFScheduler(Scheduler):
 
     def _widen_batch(self, request: Request, device: Device,
                      mechanism: str, ordered: Sequence[Request],
-                     fleet: Fleet, now: float) -> Optional[StartBatch]:
+                     fleet: Fleet, now: float) -> Optional[Start]:
         """Greedily grow a same-model batch around ``request``.
 
         Candidates join in deadline order; each is admitted only while
         the predictor says the *batched* run still finishes before
         every member's deadline -- batching must never turn a met SLO
         into a miss the scheduler could foresee.  Returns None when no
-        candidate survives (plain Start is cheaper than a batch of 1).
+        candidate survives (the caller then starts ``request`` alone).
         """
         members = [request]
         deadline = request.deadline_s
@@ -285,10 +281,9 @@ class EDFScheduler(Scheduler):
             service = trial_service
         if len(members) == 1:
             return None
-        return StartBatch(requests=tuple(members),
-                          device_id=device.device_id,
-                          mechanism=mechanism,
-                          predicted_service_s=service)
+        return Start(requests=tuple(members),
+                     device_id=device.device_id, mechanism=mechanism,
+                     predicted_service_s=service)
 
 
 class DynamicBatchScheduler(Scheduler):
@@ -353,13 +348,9 @@ class DynamicBatchScheduler(Scheduler):
                     batch=batch)
                 if not device.idle_now(resources, now):
                     continue
-                if batch == 1:
-                    return Start(request=members[0],
-                                 device_id=device.device_id,
-                                 mechanism=self.mechanism)
-                return StartBatch(requests=tuple(members),
-                                  device_id=device.device_id,
-                                  mechanism=self.mechanism)
+                return Start(requests=tuple(members),
+                             device_id=device.device_id,
+                             mechanism=self.mechanism)
             # Ready but no idle device: a completion will re-poll.
         return None
 

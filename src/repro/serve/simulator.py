@@ -1,17 +1,18 @@
-"""The discrete-event serving simulator.
+"""The discrete-event serving simulator and its event loop.
 
-Drives a request trace through a :class:`~repro.serve.fleet.Fleet`
-under a :class:`~repro.serve.scheduler.Scheduler`.  The event loop is a
-classic design of three event kinds -- request arrivals, request
-completions, and scheduler timer wakeups -- with a central pending
-queue.  After every event the scheduler is polled for actions until it
-has none; each started request (or request batch) advances the target
-device's clocks immediately (service times are deterministic, so the
-completion instant is known at dispatch), and the completion event
-exists only to create the next scheduling opportunity.  Wakeup events
-come from :meth:`~repro.serve.scheduler.Scheduler.next_wakeup_s`: a
-batching scheduler holding a partial batch names the instant its
-timeout window expires, and the simulator polls it again exactly then.
+:class:`EventLoop` is the one dispatch loop of the serving and cluster
+tiers.  Its heap holds request arrivals and timer wakeups, ordered by
+``(time, insertion sequence)``.  After every event the simulator drains
+its scheduler: a :class:`~repro.serve.scheduler.Shed` is recorded, and
+a :class:`~repro.serve.scheduler.Start` runs through
+:meth:`~repro.serve.fleet.Fleet.execute_batch`, which advances the
+device's clocks at once (service times are deterministic, so the
+finish instant is known at dispatch) and wakes the loop at that
+instant.  Other wakeups come from a batching scheduler's partial-batch
+flush (:meth:`~repro.serve.scheduler.Scheduler.next_wakeup_s`) and, in
+the cluster tier, from autoscaler cold starts.
+:class:`ServingSimulator` drives the loop over one fleet;
+:class:`~repro.cluster.simulator.ClusterSimulator` over several pools.
 
 Determinism: events are ordered by ``(time, insertion sequence)``, the
 fleet's executor is deterministic, and workloads are seeded -- so one
@@ -22,10 +23,10 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .fleet import Completion, Fleet
-from .scheduler import Scheduler, Shed, Start, StartBatch
+from .scheduler import Scheduler, Shed
 from .workload import Request
 
 
@@ -78,6 +79,81 @@ class ServingResult:
                 + len(self.unserved))
 
 
+class EventLoop:
+    """The event heap and scheduler drain of one trace.
+
+    Iterating yields ``(now, arrived)`` per event; ``arrived`` is None
+    for a wakeup.  Completions and sheds accumulate on the loop.
+    """
+
+    def __init__(self, requests: Sequence[Request]) -> None:
+        self._events: List[Tuple[float, int, Optional[Request]]] = []
+        self._sequence = 0
+        self._woken: Set[float] = set()
+        self._last_arrival = max((r.arrival_s for r in requests),
+                                 default=0.0)
+        self.completions: List[Completion] = []
+        self.sheds: List[ShedRecord] = []
+        for request in sorted(requests,
+                              key=lambda r: (r.arrival_s, r.request_id)):
+            self._push(request.arrival_s, request)
+
+    def _push(self, when: float, request: Optional[Request] = None
+              ) -> None:
+        heapq.heappush(self._events, (when, self._sequence, request))
+        self._sequence += 1
+
+    def __iter__(self) -> Iterator[Tuple[float, Optional[Request]]]:
+        while self._events:
+            now, _, arrived = heapq.heappop(self._events)
+            yield now, arrived
+
+    def wake_at(self, when: float) -> None:
+        """Poll again at ``when`` (once per instant)."""
+        if when not in self._woken:
+            self._woken.add(when)
+            self._push(when)
+
+    def wake_for(self, scheduler: Scheduler, fleet: Fleet,
+                 pending: List[Request], now: float) -> None:
+        """Wake at the scheduler's next timer instant, if future."""
+        wakeup = scheduler.next_wakeup_s(pending, fleet, now)
+        if wakeup is not None and wakeup > now:
+            self.wake_at(wakeup)
+
+    def shed(self, request: Request, now: float, reason: str) -> None:
+        """Record a dropped request."""
+        self.sheds.append(ShedRecord(request=request, shed_s=now,
+                                     reason=reason))
+
+    def drain(self, scheduler: Scheduler, fleet: Fleet,
+              pending: List[Request], now: float) -> int:
+        """Apply ``scheduler``'s actions at ``now`` until it has none;
+        returns how many requests were started."""
+        started = 0
+        while True:
+            action = scheduler.next_action(pending, fleet, now)
+            if action is None:
+                return started
+            if isinstance(action, Shed):
+                pending.remove(action.request)
+                self.shed(action.request, now, action.reason)
+                continue
+            for request in action.requests:
+                pending.remove(request)
+            batch = fleet.execute_batch(
+                action.requests, fleet.device(action.device_id),
+                action.mechanism, now)
+            self.completions.extend(batch)
+            self._push(batch[0].finish_s)
+            started += len(batch)
+
+    def makespan_s(self) -> float:
+        """Time of the last completion (or last arrival)."""
+        return max([self._last_arrival]
+                   + [c.finish_s for c in self.completions])
+
+
 class ServingSimulator:
     """Runs request traces against one fleet under one scheduler."""
 
@@ -87,66 +163,15 @@ class ServingSimulator:
 
     def run(self, requests: Sequence[Request]) -> ServingResult:
         """Simulate one trace to completion."""
-        events: List[Tuple[float, int, Optional[Request]]] = []
-        sequence = 0
-        for request in sorted(requests,
-                              key=lambda r: (r.arrival_s, r.request_id)):
-            heapq.heappush(events, (request.arrival_s, sequence, request))
-            sequence += 1
+        loop = EventLoop(requests)
         pending: List[Request] = []
-        completions: List[Completion] = []
-        sheds: List[ShedRecord] = []
-        scheduled_wakeups: Set[float] = set()
-        last_arrival = max((r.arrival_s for r in requests), default=0.0)
-        while events:
-            now, _, arrived = heapq.heappop(events)
+        for now, arrived in loop:
             if arrived is not None:
                 pending.append(arrived)
-            while True:
-                action = self.scheduler.next_action(pending, self.fleet,
-                                                    now)
-                if action is None:
-                    break
-                if isinstance(action, Shed):
-                    pending.remove(action.request)
-                    sheds.append(ShedRecord(request=action.request,
-                                            shed_s=now,
-                                            reason=action.reason))
-                    continue
-                if isinstance(action, StartBatch):
-                    for request in action.requests:
-                        pending.remove(request)
-                    device = self.fleet.device(action.device_id)
-                    batch = self.fleet.execute_batch(
-                        list(action.requests), device, action.mechanism,
-                        now)
-                    completions.extend(batch)
-                    heapq.heappush(events,
-                                   (batch[0].finish_s, sequence, None))
-                    sequence += 1
-                    continue
-                assert isinstance(action, Start)
-                pending.remove(action.request)
-                device = self.fleet.device(action.device_id)
-                completion = self.fleet.execute(
-                    action.request, device, action.mechanism, now)
-                completions.append(completion)
-                heapq.heappush(events,
-                               (completion.finish_s, sequence, None))
-                sequence += 1
-            # A batching scheduler may be holding a partial batch for
-            # its timeout window; schedule a timer poll at the flush
-            # instant (deduplicated -- one poll per instant suffices).
-            wakeup = self.scheduler.next_wakeup_s(pending, self.fleet,
-                                                  now)
-            if (wakeup is not None and wakeup > now
-                    and wakeup not in scheduled_wakeups):
-                scheduled_wakeups.add(wakeup)
-                heapq.heappush(events, (wakeup, sequence, None))
-                sequence += 1
-        makespan = max([last_arrival]
-                       + [c.finish_s for c in completions])
+            loop.drain(self.scheduler, self.fleet, pending, now)
+            loop.wake_for(self.scheduler, self.fleet, pending, now)
         return ServingResult(scheduler=self.scheduler.name,
-                             completions=completions, sheds=sheds,
-                             unserved=list(pending), makespan_s=makespan,
+                             completions=loop.completions,
+                             sheds=loop.sheds, unserved=list(pending),
+                             makespan_s=loop.makespan_s(),
                              fleet=self.fleet)

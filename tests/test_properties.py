@@ -10,7 +10,8 @@ from repro.kernels import qgemm_accumulate
 from repro.nn import LayerWork
 from repro.quant import fake_quantize, requantize, \
     requantize_float_reference
-from repro.runtime import split_counts
+from repro.errors import PlanError
+from repro.runtime import share_counts
 from repro.soc import EXYNOS_7420, Timeline, CPU, GPU
 from repro.tensor import QMAX, QMIN, QuantParams
 
@@ -88,17 +89,22 @@ class TestSplitProperties:
     @given(st.integers(1, 4096), st.floats(0.0, 1.0))
     @settings(max_examples=300, deadline=None)
     def test_split_counts_partition(self, total, split):
-        cpu, gpu = split_counts(total, split)
-        assert cpu + gpu == total
-        assert cpu >= 0 and gpu >= 0
+        shares = {"cpu": split, "gpu": 1.0 - split}
+        if total < sum(share > 0.0 for share in shares.values()):
+            with pytest.raises(PlanError, match="cannot split"):
+                share_counts(total, shares)
+            return
+        counts = share_counts(total, shares)
+        assert sum(counts.values()) == total
+        assert all(count >= 1 for count in counts.values())
 
     @given(st.integers(2, 4096),
            st.floats(0.01, 0.99).filter(lambda p: 0 < p < 1))
     @settings(max_examples=300, deadline=None)
     def test_cooperative_split_nondegenerate(self, total, split):
-        cpu, gpu = split_counts(total, split)
-        assert cpu >= 1
-        assert gpu >= 1
+        counts = share_counts(total, {"cpu": split, "gpu": 1.0 - split})
+        assert counts["cpu"] >= 1
+        assert counts["gpu"] >= 1
 
     @given(st.integers(0, 10 ** 9), st.integers(0, 10 ** 6),
            st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),

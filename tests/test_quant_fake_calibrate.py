@@ -93,6 +93,35 @@ class TestMinMaxObserver:
         obs.observe(np.array([]))
         assert not obs.calibrated
 
+    def test_nan_after_finite_batch_raises_and_keeps_state(self):
+        """The NaN batch's 50 must not vanish with its NaN: the batch
+        is refused whole and the range stays as it was."""
+        obs = MinMaxObserver()
+        obs.observe(np.array([-1.0, 2.0]))
+        with pytest.raises(CalibrationError,
+                           match=re.escape("calibration batch 1 holds "
+                                           "NaN")):
+            obs.observe(np.array([np.nan, 50.0]))
+        assert (obs.minimum, obs.maximum, obs.samples) == (-1.0, 2.0, 1)
+
+    def test_nan_first_batch_raises_before_any_range(self):
+        obs = MinMaxObserver()
+        with pytest.raises(CalibrationError,
+                           match=re.escape("calibration batch 0 holds "
+                                           "NaN")):
+            obs.observe(np.array([50.0, np.nan]))
+        assert not obs.calibrated
+        obs.observe(np.array([-1.0, 2.0]))
+        assert obs.qparams() == QuantParams.from_range(-1.0, 2.0)
+
+    def test_inf_raises_naming_layer(self):
+        obs = MinMaxObserver()
+        with pytest.raises(CalibrationError,
+                           match=re.escape("calibration batch 0 of layer "
+                                           "'fc' holds inf")):
+            obs.observe(np.array([1.0, -np.inf]), layer="fc")
+        assert not obs.calibrated
+
 
 class TestPercentileObserver:
     def test_ignores_outliers(self, rng):

@@ -5,8 +5,7 @@ import pytest
 from repro.harness import build_inception_3a_graph
 from repro.nn import find_branch_regions
 from repro.runtime import (BranchProfile, Partitioner, PartitionerConfig,
-                           best_branch_mapping, estimate_mapping,
-                           profile_branches)
+                           estimate_mapping, profile_branches)
 from repro.soc import EXYNOS_7420
 
 
@@ -54,35 +53,6 @@ class TestMappingEstimates:
         profiles = [BranchProfile(1.0, 9.0)]
         assert estimate_mapping(profiles, ("cpu",), 0.5) == 1.0
         assert estimate_mapping(profiles, ("gpu",), 0.5) == 9.5
-
-    def test_best_mapping_balances(self):
-        profiles = [BranchProfile(2.0, 2.0), BranchProfile(2.0, 2.0)]
-        mapping, latency = best_branch_mapping(profiles, 0.0)
-        assert set(mapping) == {"cpu", "gpu"}
-        assert latency == pytest.approx(2.0)
-
-    def test_best_mapping_never_worse_than_all_cpu(self):
-        import itertools
-        import random
-        rng = random.Random(7)
-        for _ in range(50):
-            profiles = [BranchProfile(rng.uniform(0.1, 3),
-                                      rng.uniform(0.1, 3))
-                        for _ in range(rng.randint(1, 5))]
-            _, best = best_branch_mapping(profiles, 0.01)
-            all_cpu = estimate_mapping(profiles,
-                                       ("cpu",) * len(profiles), 0.01)
-            assert best <= all_cpu + 1e-12
-
-    def test_exhaustive_enumeration(self):
-        """The returned mapping really is the argmin over all 2^B."""
-        import itertools
-        profiles = [BranchProfile(1.3, 0.9), BranchProfile(0.4, 2.0),
-                    BranchProfile(0.7, 0.8)]
-        mapping, best = best_branch_mapping(profiles, 0.05)
-        for candidate in itertools.product(("cpu", "gpu"), repeat=3):
-            assert best <= estimate_mapping(profiles, candidate,
-                                            0.05) + 1e-12
 
 
 class TestPartitionerIntegration:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import PlanError
 from repro.models import build_model
-from repro.runtime import split_counts, split_layer_work_shares
+from repro.runtime import share_counts, split_layer_work_shares
 
 
 def _two_way(graph, layer_name, split):
@@ -14,42 +14,51 @@ def _two_way(graph, layer_name, split):
     return work["cpu"], work["gpu"]
 
 
+def _counts(total, split):
+    """(cpu, gpu) channel counts of a two-way split at CPU share
+    ``split``."""
+    counts = share_counts(total, {"cpu": split, "gpu": 1.0 - split})
+    return counts.get("cpu", 0), counts.get("gpu", 0)
+
+
 class TestSplitCounts:
+    """Two-way channel apportioning through ``share_counts``."""
+
     def test_even_split(self):
-        assert split_counts(128, 0.5) == (64, 64)
+        assert _counts(128, 0.5) == (64, 64)
 
     def test_quarter_split(self):
-        assert split_counts(128, 0.25) == (32, 96)
+        assert _counts(128, 0.25) == (32, 96)
 
     def test_rounding(self):
-        cpu, gpu = split_counts(10, 0.33)
+        cpu, gpu = _counts(10, 0.33)
         assert cpu + gpu == 10
         assert cpu == 3
 
     def test_endpoints(self):
-        assert split_counts(64, 0.0) == (0, 64)
-        assert split_counts(64, 1.0) == (64, 0)
+        assert _counts(64, 0.0) == (0, 64)
+        assert _counts(64, 1.0) == (64, 0)
 
     def test_cooperative_never_degenerates(self):
         # Even extreme ratios leave both sides at least one channel.
-        assert split_counts(2, 0.01) == (1, 1)
-        assert split_counts(2, 0.99) == (1, 1)
+        assert _counts(2, 0.01) == (1, 1)
+        assert _counts(2, 0.99) == (1, 1)
 
     def test_counts_always_sum(self, rng):
         for _ in range(100):
             total = int(rng.integers(1, 2048))
             split = float(rng.uniform(0, 1))
-            cpu, gpu = split_counts(total, split)
+            cpu, gpu = _counts(total, split)
             assert cpu + gpu == total
             assert cpu >= 0 and gpu >= 0
 
     def test_invalid_split_rejected(self):
         with pytest.raises(PlanError):
-            split_counts(10, 1.5)
+            _counts(10, 1.5)
 
     def test_no_channels_rejected(self):
         with pytest.raises(PlanError):
-            split_counts(0, 0.5)
+            _counts(0, 0.5)
 
 
 class TestSplitLayerWork:

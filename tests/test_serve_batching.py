@@ -12,7 +12,7 @@ import pytest
 
 from repro.serve import (Completion, DynamicBatchScheduler,
                          EDFScheduler, Fleet, PoissonWorkload, Request,
-                         ServingMetrics, ServingSimulator, StartBatch,
+                         ServingMetrics, ServingSimulator, Start,
                          default_slos, make_scheduler)
 
 MODEL = "squeezenet_mini"
@@ -218,12 +218,15 @@ class TestMetricsAndDeterminism:
                 1.0 - completion.request.arrival_s)
 
 
-class TestStartBatchAction:
+class TestStartAction:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            StartBatch(requests=(), device_id="d0", mechanism="mulayer")
+        with pytest.raises(ValueError, match="at least one request"):
+            Start(requests=(), device_id="d0", mechanism="mulayer")
         mixed = (burst(1, model="squeezenet_mini")
                  + burst(1, model="mobilenet_mini", start_id=1))
-        with pytest.raises(ValueError):
-            StartBatch(requests=tuple(mixed), device_id="d0",
+        with pytest.raises(ValueError, match="one model"):
+            Start(requests=tuple(mixed), device_id="d0",
+                  mechanism="mulayer")
+        single = Start(requests=tuple(burst(1)), device_id="d0",
                        mechanism="mulayer")
+        assert len(single.requests) == 1

@@ -40,7 +40,7 @@ class TestFIFO:
         reset(fleet)
         action = FIFOScheduler().next_action(trace, fleet, 0.0)
         assert isinstance(action, Start)
-        assert action.request.request_id == 0
+        assert [r.request_id for r in action.requests] == [0]
         assert action.mechanism == "mulayer"
         assert action.device_id == fleet.devices[0].device_id
 
@@ -75,7 +75,7 @@ class TestEDF:
         reset(fleet)
         action = EDFScheduler().next_action(trace, fleet, 0.0)
         assert isinstance(action, Start)
-        assert action.request.request_id == 2
+        assert [r.request_id for r in action.requests] == [2]
         assert action.predicted_service_s > 0.0
 
     def test_sheds_hopeless_request(self, fleet):

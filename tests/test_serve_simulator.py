@@ -5,12 +5,14 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.cluster import (AutoscalerConfig, ClusterConfig,
+                           ClusterSimulator, PoolSpec)
 from repro.models import build_model
 from repro.runtime import (DEFAULT_PROFILING_SEED, MuLayer,
                            default_profiling_samples)
 from repro.serve import (Fleet, PoissonWorkload, ServingMetrics,
-                         ServingSimulator, default_slos, make_scheduler,
-                         percentile)
+                         ServingSimulator, default_slos, diurnal_trace,
+                         make_scheduler, percentile)
 from repro.soc import EXYNOS_7420
 
 MODELS = ["vgg_mini", "squeezenet_mini"]
@@ -66,6 +68,68 @@ class TestSimulator:
             spans.sort()
             for (_, end), (start, _) in zip(spans, spans[1:]):
                 assert start >= end - 1e-9
+
+
+class TestOnePoolCluster:
+    """A one-pool cluster with nothing of its own switched on (no
+    autoscaling, one host to route to, a queue cap that never binds)
+    must serve a trace exactly as the single-fleet simulator does:
+    both drive the same event loop."""
+
+    NUM_REQUESTS = 600
+    TIMEOUT_S = 0.002
+
+    @pytest.fixture(scope="class")
+    def overloaded(self):
+        fleet = Fleet.build(("exynos7420",), 2)
+        slos = dict(default_slos(fleet, MODELS, slo_factor=4.0))
+        rate = 1.5 * fleet.capacity_rps(MODELS)
+        requests = diurnal_trace(
+            rate, MODELS, slos, seed=5,
+            period_s=self.NUM_REQUESTS / rate / 2.0,
+        ).generate(self.NUM_REQUESTS)
+        return slos, rate, requests
+
+    @staticmethod
+    def served(completions, prefix=""):
+        return [(c.request, c.device_id[len(prefix):], c.mechanism,
+                 c.start_s, c.finish_s, c.batch_size)
+                for c in completions]
+
+    @pytest.mark.parametrize("scheduler, max_batch", [
+        ("fifo", 1), ("least-loaded", 1), ("edf", 1), ("edf", 4),
+        ("batch", 4)])
+    def test_same_history_as_serving(self, overloaded, scheduler,
+                                     max_batch):
+        slos, rate, requests = overloaded
+        timeout = self.TIMEOUT_S if scheduler == "batch" else None
+        serving = ServingSimulator(
+            Fleet.build(("exynos7420",), 2),
+            make_scheduler(scheduler,
+                           max_batch=max_batch if max_batch > 1 else None,
+                           batch_timeout_s=timeout)).run(requests)
+        pool = PoolSpec(name="solo", soc="exynos7420", max_replicas=2,
+                        min_replicas=2, scheduler=scheduler,
+                        max_batch=max_batch,
+                        batch_timeout_s=timeout or 0.0,
+                        queue_cap_per_replica=len(requests))
+        cluster = ClusterSimulator(ClusterConfig(
+            pools=(pool,), models=tuple(MODELS), slos=slos,
+            rate_rps=rate, router="round-robin",
+            autoscaler=AutoscalerConfig(mode="off"))).run(requests)
+
+        assert (self.served(cluster.completions, prefix="solo/")
+                == self.served(serving.completions))
+        assert ([(s.request, s.shed_s, s.reason) for s in cluster.sheds]
+                == [(s.request, s.shed_s, s.reason)
+                    for s in serving.sheds])
+        assert cluster.unserved == sorted(serving.unserved,
+                                          key=lambda r: r.request_id)
+        assert cluster.makespan_s == serving.makespan_s
+        if scheduler == "edf":
+            assert serving.sheds, "the trace must overload the fleet"
+        if max_batch > 1:
+            assert max(c.batch_size for c in serving.completions) > 1
 
 
 class TestMetrics:
